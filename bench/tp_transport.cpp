@@ -1,4 +1,4 @@
-// Three-way transport benchmark for the live TP tier (DESIGN.md §11, §12).
+// Three-way transport benchmark for the live TP tier (DESIGN.md §11).
 //
 // Two tiers of measurement from one binary:
 //
@@ -10,12 +10,14 @@
 //     transport keep up", not "how fast is the transport".
 //
 //  2. Raw data-plane legs: the transport primitives alone, stripped of the
-//     pipeline — the framed pipe(2) wire (the PosixPipeLink path: syscalls
-//     plus kernel copies), a socketpair doing the same, an ShmRing frame
+//     pipeline — the framed wire over a pipe(2) (syscalls plus kernel
+//     copies), a socketpair doing the same, an ShmRing frame
 //     write/read (two memcpys, two release stores, no kernel), and a
 //     Channel<Message> push/pop (the in-process reference point, one heap
 //     message per frame) — with a pinned thread and a warm-up pass before
-//     timing (SNIPPETS.md idiom).  This is where the shm design goal is
+//     timing (SNIPPETS.md idiom).  Only these single-threaded legs run
+//     pinned: the environment legs keep every core, so the framed-link
+//     pumps and reader really hand batches across threads.  This is where the shm design goal is
 //     enforced: raw shm throughput must beat the pipe wire >= 5x at
 //     batch=1.
 //
@@ -59,19 +61,38 @@ std::uint64_t g_raw_frames = 200'000;  // raw legs (--quick: 40'000)
 constexpr std::uint32_t kNodes = 4;
 constexpr std::uint64_t kSeed = 0x7A9B5;
 
-/// Best-effort pin of the calling thread (SNIPPETS.md: benchmarks pin
-/// threads to cores).  A refusal — or a single-CPU box — is not an error;
-/// the point is stable numbers where the OS allows them.
-void pin_to_cpu(unsigned cpu) {
+/// Best-effort pin of the calling thread while in scope (SNIPPETS.md:
+/// benchmarks pin threads to cores); the previous affinity comes back on
+/// exit.  Threads started inside would inherit the pin, so only the
+/// single-threaded raw legs run under it.  A refusal — or a single-CPU box —
+/// is not an error; the point is stable numbers where the OS allows them.
+class CpuPin {
+ public:
+  explicit CpuPin(unsigned cpu) {
 #ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  (void)sched_setaffinity(0, sizeof set, &set);
+    saved_ok_ = sched_getaffinity(0, sizeof saved_, &saved_) == 0;
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    (void)sched_setaffinity(0, sizeof set, &set);
 #else
-  (void)cpu;
+    (void)cpu;
 #endif
-}
+  }
+  ~CpuPin() {
+#ifdef __linux__
+    if (saved_ok_) (void)sched_setaffinity(0, sizeof saved_, &saved_);
+#endif
+  }
+  CpuPin(const CpuPin&) = delete;
+  CpuPin& operator=(const CpuPin&) = delete;
+
+ private:
+#ifdef __linux__
+  cpu_set_t saved_{};
+  bool saved_ok_ = false;
+#endif
+};
 
 struct WireCounters {
   std::uint64_t frames_sent = 0;
@@ -290,9 +311,9 @@ double raw_fd_ms(int read_fd, int write_fd, std::uint64_t frames,
 }
 
 double raw_pipe_ms(std::uint64_t frames, std::size_t batch_size) {
-  // The pipe *wire* (the PosixPipeLink framing path): one write(2) and two
-  // read(2)s per frame through a kernel pipe — the kernel-copy baseline the
-  // shm ring's "zero syscalls, zero kernel copies" is measured against.
+  // The framed wire over a kernel pipe: one write(2) and two read(2)s per
+  // frame — the kernel-copy baseline the shm ring's "zero syscalls, zero
+  // kernel copies" is measured against.
   int fds[2];
   if (::pipe(fds) != 0) std::abort();
   const double ms = raw_fd_ms(fds[0], fds[1], frames, batch_size);
@@ -358,7 +379,6 @@ int main(int argc, char** argv) {
     g_records = 8'000;
     g_raw_frames = 40'000;
   }
-  pin_to_cpu(0);
   bool ok = true;
 
   const RunResult pipe =
@@ -402,8 +422,12 @@ int main(int argc, char** argv) {
   std::printf("\nraw data plane (%llu frame budget, pinned, warmed):\n",
               static_cast<unsigned long long>(g_raw_frames));
   std::vector<RawRow> raw;
-  for (const std::size_t bs : {std::size_t{1}, std::size_t{8}, std::size_t{32}})
-    raw.push_back(run_raw_legs(bs));
+  {
+    const CpuPin pin(0);
+    for (const std::size_t bs :
+         {std::size_t{1}, std::size_t{8}, std::size_t{32}})
+      raw.push_back(run_raw_legs(bs));
+  }
   for (const auto& row : raw)
     std::printf("  batch=%2zu  pipe %9.0f ev/s   socket %9.0f ev/s   "
                 "channel %11.0f ev/s   shm %11.0f ev/s   shm/pipe %.1fx\n",

@@ -99,8 +99,6 @@ EnvironmentConfig parse_environment_config(const std::string& text) {
     } else if (key == "tp") {
       if (value == "pipe") cfg.tp_flavor = TpFlavor::kPipe;
       else if (value == "socket") cfg.tp_flavor = TpFlavor::kSocket;
-      else if (value == "rpc") cfg.tp_flavor = TpFlavor::kRpc;
-      else if (value == "custom") cfg.tp_flavor = TpFlavor::kCustom;
       else if (value == "shm") cfg.tp_flavor = TpFlavor::kShm;
       else throw ConfigError(lineno, "unknown tp flavor '" + value + "'");
     } else if (key == "link_capacity") {
@@ -166,8 +164,6 @@ EnvironmentConfig parse_environment_config(const std::string& text) {
     } else if (key == "root_tp") {
       if (value == "pipe") cfg.federation.root_tp = TpFlavor::kPipe;
       else if (value == "socket") cfg.federation.root_tp = TpFlavor::kSocket;
-      else if (value == "rpc") cfg.federation.root_tp = TpFlavor::kRpc;
-      else if (value == "custom") cfg.federation.root_tp = TpFlavor::kCustom;
       else if (value == "shm") cfg.federation.root_tp = TpFlavor::kShm;
       else throw ConfigError(lineno, "unknown root_tp flavor '" + value + "'");
     } else if (key == "agg_batch_records") {

@@ -14,7 +14,7 @@
 //   sampling_period_ns = 2000000
 //   pipe_capacity = 512
 //   daemon_blocks_app = true
-//   tp = pipe                     # pipe | socket | rpc | custom
+//   tp = pipe                     # pipe | socket | shm
 //   link_capacity = 2048
 //   ism_input = miso              # siso | miso
 //   causal_ordering = true

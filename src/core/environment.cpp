@@ -3,9 +3,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/shm_link.hpp"
-#include "core/socket_link.hpp"
-
 #if PRISM_OBS_ENABLED
 #include <unistd.h>
 
@@ -69,10 +66,7 @@ IntegratedEnvironment::IntegratedEnvironment(EnvironmentConfig config)
                                            data_links, config_.link_capacity);
   // kSocket and kShm have real data planes: batches leave the process's
   // in-memory links and cross kernel stream sockets or shared-memory rings.
-  if (config_.tp_flavor == TpFlavor::kSocket)
-    tp_->enable_socket_backend(config_.socket);
-  else if (config_.tp_flavor == TpFlavor::kShm)
-    tp_->enable_shm_backend(config_.shm);
+  tp_->enable_backend(config_.socket, config_.shm);
   ism_ = std::make_unique<Ism>(*tp_, config_.ism);
   lises_.reserve(config_.nodes);
   for (std::uint32_t n = 0; n < config_.nodes; ++n) {
@@ -254,12 +248,8 @@ void IntegratedEnvironment::collect_health(
   // 1. Downstream completions first.
   const IsmStats ism = ism_->stats();
   // 2. Losses second.
-  std::uint64_t wire_lost = 0;
   const bool wire = tp_->socket_backend_enabled() || tp_->shm_backend_enabled();
-  if (tp_->socket_backend_enabled())
-    wire_lost = tp_->socket_transport()->records_lost_total();
-  else if (tp_->shm_backend_enabled())
-    wire_lost = tp_->shm_transport()->records_lost_total();
+  const std::uint64_t wire_lost = tp_->wire_records_lost();
   const std::uint64_t control_dropped = tp_->control_dropped_total();
   std::uint32_t lises_dead = 0;
   for (const auto& l : lises_)
@@ -303,10 +293,7 @@ DegradationReport IntegratedEnvironment::degradation() const {
   d.tools_failed = is.tools_failed;
   d.holdback_expired = is.expired_released;
   d.control_dropped = tp_->control_dropped_total();
-  if (tp_->socket_backend_enabled())
-    d.records_lost_wire = tp_->socket_transport()->records_lost_total();
-  else if (tp_->shm_backend_enabled())
-    d.records_lost_wire = tp_->shm_transport()->records_lost_total();
+  d.records_lost_wire = tp_->wire_records_lost();
   return d;
 }
 

@@ -6,8 +6,6 @@
 
 #include "core/clock.hpp"
 #include "core/io_loop.hpp"
-#include "core/shm_link.hpp"
-#include "core/socket_link.hpp"
 #include "obs/live/flight.hpp"
 #include "obs/obs.hpp"
 
@@ -415,21 +413,6 @@ const EnvironmentConfig& validate_federated(const EnvironmentConfig& cfg) {
   return cfg;
 }
 
-void enable_backend(TransferProtocol& tp, const EnvironmentConfig& cfg) {
-  if (tp.flavor() == TpFlavor::kSocket)
-    tp.enable_socket_backend(cfg.socket);
-  else if (tp.flavor() == TpFlavor::kShm)
-    tp.enable_shm_backend(cfg.shm);
-}
-
-std::uint64_t wire_lost(TransferProtocol& tp) {
-  if (tp.socket_backend_enabled())
-    return tp.socket_transport()->records_lost_total();
-  if (tp.shm_backend_enabled())
-    return tp.shm_transport()->records_lost_total();
-  return 0;
-}
-
 void accumulate(LisStats& total, const LisStats& s) {
   total.recorded += s.recorded;
   total.dropped += s.dropped;
@@ -466,7 +449,7 @@ FederatedEnvironment::FederatedEnvironment(EnvironmentConfig config)
   const std::uint32_t shards = router_.shards();
   root_tp_ = std::make_unique<TransferProtocol>(
       root_flavor, shards, shards, config_.link_capacity);
-  enable_backend(*root_tp_, config_);
+  root_tp_->enable_backend(config_.socket, config_.shm);
   IsmConfig root_cfg = config_.ism;
   root_cfg.input = shards == 1 ? InputConfig::kSiso : InputConfig::kMiso;
   root_ism_ = std::make_unique<Ism>(*root_tp_, root_cfg);
@@ -485,7 +468,7 @@ FederatedEnvironment::FederatedEnvironment(EnvironmentConfig config)
         config_.ism.input == InputConfig::kSiso ? 1 : cluster_nodes;
     auto tp = std::make_unique<TransferProtocol>(
         config_.tp_flavor, cluster_nodes, data_links, config_.link_capacity);
-    enable_backend(*tp, config_);
+    tp->enable_backend(config_.socket, config_.shm);
     for (std::uint32_t i = 0; i < m.size(); ++i) {
       const std::uint32_t node = m[i];
       // LISes keep their *global* node id (record routing, fault lanes,
@@ -629,13 +612,13 @@ DegradationReport FederatedEnvironment::degradation() const {
     d.records_lost_agg += as.lost_dead;
     d.holdback_expired += as.expired_released;
     d.control_dropped += cluster_tps_[s]->control_dropped_total();
-    d.records_lost_wire += wire_lost(*cluster_tps_[s]);
+    d.records_lost_wire += cluster_tps_[s]->wire_records_lost();
   }
   const IsmStats is = root_ism_->stats();
   d.tools_failed = is.tools_failed;
   d.holdback_expired += is.expired_released;
   d.control_dropped += root_tp_->control_dropped_total();
-  d.records_lost_wire += wire_lost(*root_tp_);
+  d.records_lost_wire += root_tp_->wire_records_lost();
   return d;
 }
 
@@ -656,7 +639,7 @@ DegradationReport FederatedEnvironment::shard_degradation(
   d.records_lost_agg += as.lost_dead;
   d.holdback_expired = as.expired_released;
   d.control_dropped = cluster_tps_[shard]->control_dropped_total();
-  d.records_lost_wire = wire_lost(*cluster_tps_[shard]);
+  d.records_lost_wire = cluster_tps_[shard]->wire_records_lost();
   return d;
 }
 

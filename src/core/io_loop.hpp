@@ -1,20 +1,21 @@
-// Shared byte-stream plumbing for the real-IPC TP links (pipe + socket).
+// Shared wire plumbing for the framed-link engine (framed_link.hpp).
 //
-// Both OS-level transports — PosixPipeLink and SocketLink — speak the same
-// wire format: length-prefixed frames of trivially-copyable EventRecords
-// behind a fixed 24-byte header.  This header hosts that format plus the
-// fd read/write loops the two links share.
+// Every real TP byte path — the fd stream under `tp = socket` and the SPSC
+// ring under `tp = shm` — carries the same wire format: length-prefixed
+// frames of trivially-copyable EventRecords behind a fixed 24-byte header.
+// This header hosts that format, the BatchArena the reader side stages
+// payloads in, and the fd read/write loops.
 //
 // The write loop treats a 0-byte ::write return as a hard link failure
-// instead of retrying: POSIX permits a zero return on some targets, and the
-// old per-link loop spun forever on it (`while (written < len)` with `n == 0`
-// never advanced).  A short return from io_write_all therefore always means
-// "the link is broken at `written` bytes" — at a frame boundary if nothing
-// of the current frame landed, mid-frame (stream desynchronized) otherwise.
+// instead of retrying: POSIX permits a zero return on some targets, and
+// `while (written < len)` with `n == 0` would never advance.  A short return
+// from io_write_all therefore always means "the link is broken at `written`
+// bytes" — at a frame boundary if nothing of the current frame landed,
+// mid-frame (stream desynchronized) otherwise.
 //
-// Both loops retry EINTR and, for non-blocking fds (the socket link), park
-// in poll(2) on EAGAIN so callers keep pipe-like blocking semantics without
-// caring which fd flavor they hold.
+// Both loops retry EINTR and, for non-blocking fds, park in poll(2) on
+// EAGAIN so callers keep blocking semantics without caring which fd flavor
+// they hold.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,7 @@
 namespace prism::core {
 
 /// Process-wide freelist of record-batch storage for the reader side of the
-/// real transports.  The socket and shm readers must materialize a
+/// real transports.  The framed-link reader must materialize a
 /// std::vector<EventRecord> per inbound frame; without pooling that is one
 /// heap allocation per frame in steady state.  Readers acquire() staging
 /// storage here and the ISM release()s a batch's storage once its records
@@ -69,8 +70,8 @@ class BatchArena {
   Stats stats_;
 };
 
-/// Magic leading every wire frame ("PIPE" — the socket link deliberately
-/// keeps the pipe's value so the two transports are wire-compatible).
+/// Magic leading every wire frame ("PIPE", kept from the first framed link
+/// so every byte path stays wire-compatible).
 inline constexpr std::uint32_t kFrameMagic = 0x50495045;
 
 /// On-wire frame header.  `record_count` is untrusted input on the read

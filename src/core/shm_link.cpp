@@ -3,13 +3,8 @@
 #include <sys/mman.h>
 
 #include <cerrno>
-#include <chrono>
 #include <stdexcept>
 #include <system_error>
-
-#include "core/clock.hpp"
-#include "obs/live/flight.hpp"
-#include "obs/prof/prof.hpp"
 
 namespace prism::core {
 
@@ -31,82 +26,32 @@ MappedSegment::~MappedSegment() {
   if (mem_ != nullptr) ::munmap(mem_, bytes_);
 }
 
-// -------------------------------------------------------------------- ShmLink
+// ---------------------------------------------------------------- ShmRingPath
 
-ShmLink::ShmLink(std::size_t index, DataLink& ingress, DataLink& egress,
-                 ShmRing ring, const ShmOptions& opts)
-    : index_(index),
-      ingress_(ingress),
-      egress_(egress),
-      opts_(opts),
-      ring_(ring) {}
-
-ShmLink::~ShmLink() {
-  // The owner closes the ingress link before destroying us, which is what
-  // lets the pump drain and exit.
-  if (pump_.joinable()) pump_.join();
-  std::lock_guard lk(write_mu_);
-  close_writer_locked();
+void ShmRingPath::check(const Options& opts) {
+  if (!is_power_of_two(opts.ring_capacity))
+    throw std::invalid_argument(
+        "ShmTransport: ring_capacity must be a nonzero power of two");
+  if (opts.ring_capacity < sizeof(FrameHeader) + sizeof(trace::EventRecord))
+    throw std::invalid_argument(
+        "ShmTransport: ring_capacity below one single-record frame");
 }
 
-void ShmLink::start() {
-  pump_ = std::thread([this] { pump_main(); });
+std::pair<ShmRingPath::Writer, ShmRingPath::Reader> ShmRingPath::open(
+    const Options& opts) {
+  auto seg = std::make_unique<MappedSegment>(
+      ShmRing::segment_bytes(opts.ring_capacity));
+  Writer writer(ShmRing::create(seg->data(), opts.ring_capacity));
+  const ShmRing consumer = ShmRing::attach(seg->data());
+  return {std::move(writer), Reader(std::move(seg), consumer)};
 }
 
-void ShmLink::set_fault(fault::FaultInjector* f, fault::RetryPolicy retry) {
-  std::lock_guard lk(write_mu_);
-  fault_ = f;
-  retry_ = retry;
-  backoff_rng_ = stats::Rng(
-      stats::Rng::hash_seed(f ? f->seed() : 0, 0x5bb0ull + index_));
-}
-
-void ShmLink::lose_keys(const std::vector<obs::LineageKey>& keys,
-                        std::uint64_t count, obs::LossSite site) {
-  records_lost_.fetch_add(count, std::memory_order_relaxed);
-  PRISM_OBS_FLIGHT("wire_loss", obs::to_string(site), index_, count);
-  auto* o = observer();
-  if (!o) return;
-  const auto t = static_cast<double>(now_ns());
-  for (const auto k : keys) o->lineage.lose(k, site, t);
-}
-
-void ShmLink::lose_batch(const DataBatch& batch, obs::LossSite site) {
-  records_lost_.fetch_add(batch.records.size(), std::memory_order_relaxed);
-  PRISM_OBS_FLIGHT("wire_loss", obs::to_string(site), index_,
-                   batch.records.size());
-  auto* o = observer();
-  if (!o) return;
-  const auto t = static_cast<double>(now_ns());
-  for (const auto& r : batch.records)
-    o->lineage.lose(obs::lineage_key(r.node, r.process, r.seq), site, t);
-}
-
-void ShmLink::close_writer_locked() {
-  // kProducerDone is released after every byte this writer published, so a
-  // reader that observes the flag and then drains sees the full stream.
-  if (!writer_closed_.exchange(true)) ring_.set_flags(ShmRing::kProducerDone);
-}
-
-void ShmLink::abort_stream_locked() {
-  if (!stream_corrupt_.exchange(true, std::memory_order_relaxed))
-    PRISM_OBS_FLIGHT("stream_corrupt", "shm_ring", index_, 0);
-  ring_.set_flags(ShmRing::kPoisoned);
-  close_writer_locked();
-}
-
-void ShmLink::prune_acked_locked() {
-  const std::uint64_t d = delivered_.load(std::memory_order_acquire);
-  while (acked_ < d && !unacked_.empty()) {
-    unacked_.pop_front();
-    ++acked_;
-  }
-}
-
-bool ShmLink::wait_for_space_locked(std::size_t len) {
+bool ShmRingPath::Writer::make_room(std::size_t len, LinkCounters& n,
+                                    [[maybe_unused]] std::size_t link) {
+  if (len > ring_.capacity()) return false;
   if (ring_.free_bytes() >= len) return true;
-  ring_full_waits_.fetch_add(1, std::memory_order_relaxed);
-  PRISM_OBS_FLIGHT("backpressure", "shm_ring_full", index_, 0);
+  n.full_waits.fetch_add(1, std::memory_order_relaxed);
+  PRISM_OBS_FLIGHT("backpressure", "shm_ring_full", link, 0);
   std::size_t rounds = 0;
   for (;;) {
     // A gone or poisoned ring frees no further space; bail instead of
@@ -124,349 +69,46 @@ bool ShmLink::wait_for_space_locked(std::size_t len) {
   }
 }
 
-void ShmLink::handle_batch(DataBatch&& batch) {
-  std::lock_guard lk(write_mu_);
-  prune_acked_locked();
-  if (writer_closed_.load() || stream_corrupt_.load()) {
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
-    lose_batch(batch, obs::LossSite::kTpSendFailed);
-    return;
-  }
-
-  // Push-attempt faults: injected transient failures happen before any byte
-  // enters the ring, so they are cleanly retryable.
-  std::uint32_t attempt = 0;
-  for (;;) {
-    if (!fault_) break;
-    const auto f =
-        fault_->consult(fault::FaultSite::kShmPush, batch.source_node);
-    if (f.kind == fault::FaultKind::kStall ||
-        f.kind == fault::FaultKind::kSlowConsumer)
-      fault::sleep_ns(f.stall_ns);
-    if (f.kind != fault::FaultKind::kSendFail) break;
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
-    if (++attempt >= retry_.max_attempts) {
-      lose_batch(batch, obs::LossSite::kRetryExhausted);
-      return;
-    }
-    fault::sleep_ns(retry_.backoff_ns(attempt, backoff_rng_));
-  }
-
-  FrameHeader hdr;
-  hdr.source_node = batch.source_node;
-  hdr.t_sent_ns = batch.t_sent_ns;
-  hdr.record_count = batch.records.size();
-  const std::size_t payload =
-      batch.records.size() * sizeof(trace::EventRecord);
-
-  if (fault_) {
-    const auto f =
-        fault_->consult(fault::FaultSite::kShmFrame, batch.source_node);
-    if (f.kind == fault::FaultKind::kPartialFrame) {
-      // The writer dies mid-frame: the header and half the payload are
-      // published, then the ring is poisoned — the reader finds a valid
-      // header whose payload never completes.
-      const std::size_t half = payload / 2;
-      if (ring_.free_bytes() >= sizeof hdr + half) {
-        ring_.try_write2(&hdr, sizeof hdr, batch.records.data(), half);
-        bytes_.fetch_add(sizeof hdr + half, std::memory_order_relaxed);
-      }
-      frames_aborted_.fetch_add(1, std::memory_order_relaxed);
-      send_failures_.fetch_add(1, std::memory_order_relaxed);
-      lose_batch(batch, obs::LossSite::kFrameCorrupt);
-      abort_stream_locked();
-      return;
-    }
-    if (f.kind == fault::FaultKind::kFrameCorrupt) hdr.magic ^= 0xFFu;
-  }
-
-  const std::size_t len = sizeof hdr + payload;
-  if (len > ring_.capacity() || !wait_for_space_locked(len)) {
-    // Oversized for this ring, or the consumer vanished while we waited:
-    // the frame never entered the ring, so the stream itself stays sound —
-    // a clean per-frame send failure, mirroring EPIPE at a frame boundary.
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
-    lose_batch(batch, obs::LossSite::kTpSendFailed);
-    return;
-  }
-
-  if (hdr.magic != kFrameMagic) {
-    // Injected corrupt-magic frame: it ships whole but the reader must
-    // detect it; the records are gone either way.  Accounted here, where
-    // their identity is still known, and excluded from the unacked ledger.
-    frames_aborted_.fetch_add(1, std::memory_order_relaxed);
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
-    lose_batch(batch, obs::LossSite::kFrameCorrupt);
-  } else {
-    // Ledger entry goes in before the frame is published (all under
-    // write_mu_): the reader can never deliver a frame the ledger has not
-    // seen.  The records' identities survive here even though the bytes are
-    // about to leave this thread's ownership.
-    std::vector<obs::LineageKey> keys;
-    if (observer()) {
-      keys.reserve(batch.records.size());
-      for (const auto& r : batch.records)
-        keys.push_back(obs::lineage_key(r.node, r.process, r.seq));
-    }
-    unacked_.emplace_back(std::move(keys), batch.records.size());
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Zero-copy publish: header and records land directly in the mapped
-  // segment, one release store makes the whole frame visible.
+void ShmRingPath::Writer::publish(const FrameHeader& hdr, const DataBatch& b,
+                                  LinkCounters& n) {
+  const std::size_t payload = b.records.size() * sizeof(trace::EventRecord);
   ring_.try_write2(&hdr, sizeof hdr,
-                   batch.records.empty() ? nullptr : batch.records.data(),
-                   payload);
-  bytes_.fetch_add(len, std::memory_order_relaxed);
+                   b.records.empty() ? nullptr : b.records.data(), payload);
+  n.bytes.fetch_add(sizeof hdr + payload, std::memory_order_relaxed);
 }
 
-void ShmLink::pump_main() {
-  // Busy/idle split for the live tier's obs report: waiting in pop() —
-  // ingress empty or ingress lock contended — is idle; serializing and
-  // ring pushes (including ring-full parks, which burn the pump's budget)
-  // are busy.
-  obs::prof::WorkerClock clock("io.shm.pump");
-  for (;;) {
-    const std::uint64_t t_park = obs::prof::prof_now_ns();
-    std::optional<Message> msg = ingress_.pop();
-    clock.add_idle_ns(obs::prof::prof_now_ns() - t_park);
-    if (!msg) break;  // ingress closed and drained
-    if (auto* batch = std::get_if<DataBatch>(&*msg)) {
-      handle_batch(std::move(*batch));
-    } else {
-      // Control messages never ride the data ring: the control plane is
-      // in-process (§2.2.3 allows direct ISM<->LIS control), so bypass
-      // straight into the egress buffer.  FIFO with the ring's data frames
-      // is not required for control (same contract as the socket link).
-      egress_.push(std::move(*msg));
-    }
-  }
-  std::lock_guard lk(write_mu_);
-  close_writer_locked();
+void ShmRingPath::Writer::write_torn(const FrameHeader& hdr,
+                                     const DataBatch& b, LinkCounters& n) {
+  // The reader then finds a valid header whose payload never completes.
+  const std::size_t half = b.records.size() * sizeof(trace::EventRecord) / 2;
+  if (ring_.free_bytes() < sizeof hdr + half) return;
+  ring_.try_write2(&hdr, sizeof hdr, b.records.data(), half);
+  n.bytes.fetch_add(sizeof hdr + half, std::memory_order_relaxed);
 }
 
-void ShmLink::close_writer() {
-  std::lock_guard lk(write_mu_);
-  close_writer_locked();
+bool ShmRingPath::Writer::write_raw(const void* data, std::size_t len,
+                                    LinkCounters& n, std::size_t link) {
+  return make_room(len, n, link) && ring_.try_write(data, len);
 }
 
-bool ShmLink::inject_raw(const void* data, std::size_t len) {
-  std::lock_guard lk(write_mu_);
-  if (writer_closed_.load()) return false;
-  if (len > ring_.capacity() || !wait_for_space_locked(len)) return false;
-  return ring_.try_write(data, len);
-}
-
-void ShmLink::reconcile_undelivered() {
-  std::lock_guard lk(write_mu_);
-  prune_acked_locked();
-  for (const auto& [keys, count] : unacked_) {
-    frames_undelivered_.fetch_add(1, std::memory_order_relaxed);
-    lose_keys(keys, count, obs::LossSite::kFrameCorrupt);
-  }
-  unacked_.clear();
-}
-
-// --------------------------------------------------------------- ShmTransport
-
-ShmTransport::ShmTransport(TransferProtocol& tp, ShmOptions opts)
-    : opts_(opts) {
-  if (!is_power_of_two(opts_.ring_capacity))
-    throw std::invalid_argument(
-        "ShmTransport: ring_capacity must be a nonzero power of two");
-  if (opts_.ring_capacity <
-      sizeof(FrameHeader) + sizeof(trace::EventRecord))
-    throw std::invalid_argument(
-        "ShmTransport: ring_capacity below one single-record frame");
-  if (opts_.max_frame_records == 0)
-    throw std::invalid_argument("ShmTransport: max_frame_records 0");
-  const std::size_t n = tp.data_link_count();
-  segments_.reserve(n);
-  egress_.reserve(n);
-  links_.reserve(n);
-  rxs_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    segments_.push_back(std::make_unique<MappedSegment>(
-        ShmRing::segment_bytes(opts_.ring_capacity)));
-    egress_.push_back(std::make_unique<DataLink>(tp.data_link(i).capacity()));
-    const ShmRing producer =
-        ShmRing::create(segments_.back()->data(), opts_.ring_capacity);
-    Rx rx;
-    rx.ring = ShmRing::attach(segments_.back()->data());
-    rx.link = i;
-    rxs_.push_back(std::move(rx));
-    links_.emplace_back(
-        new ShmLink(i, tp.data_link(i), *egress_[i], producer, opts_));
-  }
-  reader_ = std::thread([this] { reader_main(); });
-  for (auto& l : links_) l->start();
-}
-
-ShmTransport::~ShmTransport() {
-  // Orderly even when the owner never ran a shutdown: close the ingress
-  // links so the pumps drain and exit (publishing kProducerDone), and the
-  // egress links so a reader blocked on a full buffer unblocks.  In the
-  // normal lifecycle (Ism::stop -> close_data_links -> pump EOF -> reader
-  // finish) all of this already happened and the closes are no-ops.
-  for (auto& l : links_) l->ingress_.close();
-  for (auto& e : egress_) e->close();
-  links_.clear();  // joins the pumps -> kProducerDone on every ring
-  if (reader_.joinable()) reader_.join();
-}
-
-void ShmTransport::quiesce() {
-  // Pumps exit once their ingress is closed and drained, marking each ring
-  // producer-done; the reader then drains the residue and retires every
-  // ring, which freezes the undelivered ledgers.
-  for (auto& l : links_)
-    if (l->pump_.joinable()) l->pump_.join();
-  if (reader_.joinable()) reader_.join();
-}
-
-void ShmTransport::set_fault(fault::FaultInjector* f,
-                             fault::RetryPolicy retry) {
-  for (auto& l : links_) l->set_fault(f, retry);
-}
-
-void ShmTransport::set_observer(obs::PipelineObserver* o) {
-  for (auto& l : links_) l->set_observer(o);
-}
-
-std::uint64_t ShmTransport::records_lost_total() const {
-  std::uint64_t total = 0;
-  for (const auto& l : links_) total += l->records_lost();
-  return total;
-}
-
-std::uint64_t ShmTransport::frames_delivered_total() const {
-  std::uint64_t total = 0;
-  for (const auto& l : links_) total += l->frames_delivered();
-  return total;
-}
-
-void ShmTransport::deliver(Rx& rx) {
-  ShmLink& l = *links_[rx.link];
-  l.on_frame_delivered();
-  const std::uint64_t count = rx.batch.records.size();
-  std::vector<obs::LineageKey> keys;
-  if (l.observer() != nullptr) {
-    keys.reserve(count);
-    for (const auto& r : rx.batch.records)
-      keys.push_back(obs::lineage_key(r.node, r.process, r.seq));
-  }
-  DataBatch b = std::move(rx.batch);
-  rx.batch = DataBatch{};
-  rx.in_payload = false;
-  if (!egress_[rx.link]->push(Message(std::move(b)))) {
-    // Egress closed under us (abandoned teardown): the frame crossed the
-    // ring but the ISM will never see it.
-    l.lose_keys(keys, count, obs::LossSite::kIsmQueue);
-  }
-}
-
-void ShmTransport::finish(Rx& rx, bool corrupt) {
-  ShmLink& l = *links_[rx.link];
-  if (corrupt) l.on_reader_corrupt();
-  // Consumer-gone first: a pump parked on a full ring observes the flag and
-  // fails its send cleanly instead of racing the ledger reconciled below.
-  rx.ring.set_flags(ShmRing::kConsumerGone);
-  if (rx.in_payload) {
-    BatchArena::instance().release(std::move(rx.batch.records));
-    rx.batch = DataBatch{};
-    rx.in_payload = false;
-  }
-  rx.done = true;
-  l.reconcile_undelivered();
-  egress_[rx.link]->close();
-}
-
-bool ShmTransport::service(Rx& rx) {
-  // Drains complete frames, then decides EOF.  Lambda so the EOF path can
-  // run one conclusive extra drain after observing a lifecycle flag (the
-  // flag is released after the producer's final byte, so everything still
-  // in flight is visible by then).
-  const auto drain = [this, &rx] {
-    bool progress = false;
-    while (!rx.done) {
-      if (!rx.in_payload) {
-        if (!rx.ring.try_read(&rx.hdr, sizeof rx.hdr)) break;
-        progress = true;
-        if (rx.hdr.magic != kFrameMagic ||
-            rx.hdr.record_count > opts_.max_frame_records) {
-          // The header is untrusted shared state: a bad magic or an insane
-          // record count desynchronizes the stream — stop before
-          // allocating anything from it.
-          finish(rx, /*corrupt=*/true);
-          break;
-        }
-        rx.batch = DataBatch{};
-        rx.batch.source_node = rx.hdr.source_node;
-        rx.batch.t_sent_ns = rx.hdr.t_sent_ns;
-        // Staging storage from the shared arena: the ISM returns it after
-        // consuming the batch, so steady-state receive allocates nothing.
-        rx.batch.records =
-            BatchArena::instance().acquire(rx.hdr.record_count);
-        rx.in_payload = true;
-      } else {
-        if (!rx.ring.try_read(
-                rx.batch.records.empty() ? nullptr
-                                         : rx.batch.records.data(),
-                rx.batch.records.size() * sizeof(trace::EventRecord)))
-          break;
-        progress = true;
-        deliver(rx);
-      }
-    }
-    return progress;
-  };
-
-  bool progress = drain();
-  if (rx.done) return progress;
-  const std::uint32_t fl = rx.ring.flags();
+ReadStatus ShmRingPath::Reader::read(void* dst, std::size_t len,
+                                     bool mid_frame) {
+  if (ring_.try_read(dst, len)) return ReadStatus::kDone;
+  const std::uint32_t fl = ring_.flags();
   if ((fl & (ShmRing::kProducerDone | ShmRing::kPoisoned)) == 0)
-    return progress;
-  progress = drain() || progress;
-  if (rx.done) return progress;
+    return ReadStatus::kAgain;
+  // A lifecycle flag is released after the producer's final byte, so one
+  // more read is conclusive: everything still in flight is visible now.
+  if (ring_.try_read(dst, len)) return ReadStatus::kDone;
   // Nothing more will ever arrive.  A poisoned stream, a frame cut mid-
   // payload, or stray bytes short of a header all mean corruption; a bare
-  // producer-done ring is clean EOF.
-  const bool truncated = (fl & ShmRing::kPoisoned) != 0 || rx.in_payload ||
-                         rx.ring.readable() != 0;
-  finish(rx, truncated);
-  return true;
+  // producer-done ring at a frame boundary is clean EOF.
+  return (fl & ShmRing::kPoisoned) != 0 || mid_frame || ring_.readable() != 0
+             ? ReadStatus::kTruncated
+             : ReadStatus::kEof;
 }
 
-void ShmTransport::reader_main() {
-  // Busy/idle split for the live tier's obs report: the yield/sleep rungs
-  // of the backoff ladder are idle; spinning and draining rings are busy
-  // (a spinning reader occupies its core whether or not frames arrive).
-  obs::prof::WorkerClock clock("io.shm.reader");
-  std::size_t idle = 0;
-  for (;;) {
-    bool any = false;
-    bool all_done = true;
-    for (auto& rx : rxs_) {
-      if (rx.done) continue;
-      all_done = false;
-      if (service(rx)) any = true;
-    }
-    if (all_done) return;
-    if (any) {
-      idle = 0;
-      continue;
-    }
-    // Idle backoff: re-poll immediately a few times (a producer is usually
-    // mid-publish), then yield, then sleep so an idle plane costs nothing.
-    if (++idle < 16) continue;
-    if (idle < 64) {
-      const std::uint64_t t_park = obs::prof::prof_now_ns();
-      std::this_thread::yield();
-      clock.add_idle_ns(obs::prof::prof_now_ns() - t_park);
-      continue;
-    }
-    const std::uint64_t t_park = obs::prof::prof_now_ns();
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-    clock.add_idle_ns(obs::prof::prof_now_ns() - t_park);
-  }
-}
+template class FramedLink<ShmRingPath>;
+template class FramedTransport<ShmRingPath>;
 
 }  // namespace prism::core

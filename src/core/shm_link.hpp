@@ -1,51 +1,37 @@
-// A shared-memory transfer-protocol backend — the third real TP flavor
-// (§2.2.3 leaves room for "custom protocols"; DeWiz-style decoupled event
-// modules over a shared-memory data plane are the precedent).  Where the
-// socket backend pays a syscall and two kernel copies per flush, the shm
-// backend moves record batches through lock-free SPSC rings (shm_ring.hpp)
-// in MAP_SHARED segments: the steady-state data path is two user-space
-// memcpys and two release stores — zero syscalls, zero kernel copies, zero
-// mallocs on the producer side (the consumer's batch storage is recycled
-// through io_loop's BatchArena).
+// The shared-memory byte path of the framed-link engine (framed_link.hpp):
+// the `tp = shm` backend (§2.2.3 leaves room for "custom protocols";
+// DeWiz-style decoupled event modules over a shared-memory data plane are
+// the precedent).  Where the fd stream pays a syscall and two kernel copies
+// per flush, this path moves frames through one lock-free SPSC ring
+// (shm_ring.hpp) per link in a MAP_SHARED segment: the steady-state data
+// path is two user-space memcpys and two release stores — zero syscalls,
+// zero kernel copies, zero mallocs on the producer side (the consumer's
+// batch storage is recycled through io_loop's BatchArena).
 //
-// Topology mirrors socket_link.hpp on purpose: per data link, a *pump*
-// thread drains the existing in-process ingress DataLink and writes wire
-// frames (the same untrusted 24-byte header + raw EventRecords format as
-// the pipe and socket links) into that link's ring; one shared *reader*
-// thread polls every ring round-robin — spinning briefly, then yielding,
-// then sleeping, so an idle plane costs nothing — validates each header
-// before allocating anything from it, and delivers batches into per-link
-// bounded egress DataLinks consumed via receive_link().  Backpressure is
-// preserved end to end: a full egress blocks the reader, the ring fills,
-// the pump parks, the ingress link fills, and the LIS blocks — the §3.2.3
-// bottleneck chain over shared memory.
-//
-// Failure semantics are the socket link's: a frame that dies mid-write
-// (injected kPartialFrame) poisons the ring and latches stream_corrupt();
-// bad magic or an oversized record_count hard-fails the reader side.  The
-// pump keeps the same in-transit ledger (unacked_) of frame record
-// identities, pruned against the reader's delivered count; at stream
-// teardown every unconfirmed frame's records are attributed as lost, which
-// keeps `admitted == completed + lost + in_flight` exact under chaos.
-// Fault sites: kShmPush per send attempt (retryable per RetryPolicy),
-// kShmFrame per frame (corrupt-magic / partial-frame), lanes keyed on the
-// batch's source node for cross-transport ledger equivalence.
+// What this policy owns is only how bytes move through the ring:
+//   - write side: a zero-copy publish (try_write2 lands header and records
+//     straight in the segment behind one release store); a producer that
+//     finds the ring full parks — yield first, then sleep — until the
+//     consumer frees space or hangs up (kConsumerGone); a frame larger than
+//     the ring is refused up front instead of wedging the pump.  Closing
+//     sets kProducerDone; a mid-frame death sets kPoisoned.
+//   - read side: all-or-nothing reads; once kProducerDone or kPoisoned is
+//     visible and nothing more can be read, the stream has ended — cleanly
+//     at a frame boundary of a producer-done ring, as truncation otherwise.
+//     The reader thread polls every ring round-robin, spinning briefly,
+//     then yielding, then sleeping, so an idle plane costs nothing.
+// Fault sites: kShmPush / kShmFrame.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/io_loop.hpp"
+#include "core/framed_link.hpp"
 #include "core/shm_ring.hpp"
-#include "core/transfer_protocol.hpp"
-#include "fault/fault.hpp"
-#include "obs/pipeline.hpp"
 
 namespace prism::core {
 
@@ -68,187 +54,106 @@ class MappedSegment {
   std::size_t bytes_ = 0;
 };
 
-/// The producer side of one shm link: drains an ingress DataLink, frames
-/// batches into the ring, and owns the writer half of the loss ledger.
-/// Constructed only by ShmTransport.
-class ShmLink {
- public:
-  ~ShmLink();
-  ShmLink(const ShmLink&) = delete;
-  ShmLink& operator=(const ShmLink&) = delete;
+/// The shared-memory byte policy of FramedLink / FramedTransport.
+struct ShmRingPath {
+  using Options = ShmOptions;
+  static constexpr fault::FaultSite kSendSite = fault::FaultSite::kShmPush;
+  static constexpr fault::FaultSite kFrameSite = fault::FaultSite::kShmFrame;
+  static constexpr std::uint64_t kBackoffSalt = 0x5bb0;
+  static constexpr bool kCoalesces = false;
+  static constexpr const char* kPumpClock = "io.shm.pump";
+  static constexpr const char* kReaderClock = "io.shm.reader";
+  static constexpr const char* kStreamName = "shm_ring";
 
-  /// Marks the producer done (kProducerDone); the reader drains what is in
-  /// the ring and then sees EOF.  Idempotent.  The pump keeps draining the
-  /// ingress link afterwards, attributing each further batch as a
-  /// tp_send_failed loss (parity with a closed socket writer).
-  void close_writer();
+  /// Write side: the producer view of the link's ring.
+  class Writer {
+   public:
+    explicit Writer(ShmRing ring) : ring_(ring) {}
 
-  /// Test hook: writes raw bytes into the ring, bypassing framing — lets
-  /// corruption tests place arbitrary garbage in front of the reader.
-  /// Returns false when the bytes do not fit or the writer is closed.
-  bool inject_raw(const void* data, std::size_t len);
+    /// kProducerDone is released after every byte this writer published,
+    /// so a reader that observes the flag and then drains sees it all.
+    void close() { ring_.set_flags(ShmRing::kProducerDone); }
+    void poison() { ring_.set_flags(ShmRing::kPoisoned); }
+    /// Parks until `len` bytes fit.  False when they never can: larger than
+    /// the ring, or the consumer is gone or the stream died.
+    bool make_room(std::size_t len, LinkCounters& n, std::size_t link);
+    /// Zero-copy publish: header and records land directly in the mapped
+    /// segment, and one release store makes the whole frame visible.
+    void publish(const FrameHeader& hdr, const DataBatch& b, LinkCounters& n);
+    /// Writer death mid-frame: the header and half the payload are
+    /// published (if they fit), then the engine poisons the ring.
+    void write_torn(const FrameHeader& hdr, const DataBatch& b,
+                    LinkCounters& n);
+    bool write_raw(const void* data, std::size_t len, LinkCounters& n,
+                   std::size_t link);
 
-  /// Attaches the fault plane (may be null).  kShmPush is consulted once
-  /// per send attempt (kSendFail retried per `retry`, stalls applied);
-  /// kShmFrame once per frame (kFrameCorrupt flips the magic in the ring,
-  /// kPartialFrame truncates the frame and poisons the stream).  The lane
-  /// node is the batch's source node, mirroring the socket link.
-  void set_fault(fault::FaultInjector* f, fault::RetryPolicy retry = {});
-
-  /// Attaches the observability sink (may be null).  Every record this
-  /// link destroys is attributed here.  Call before traffic.
-  void set_observer(obs::PipelineObserver* o) {
-    observer_.store(o, std::memory_order_release);
-  }
-
-  /// Frames fully published into the ring (excludes destroyed frames).
-  std::uint64_t frames_sent() const { return frames_sent_.load(); }
-  std::uint64_t bytes_sent() const { return bytes_.load(); }
-  /// Frames the reader parsed and delivered into the egress link.
-  std::uint64_t frames_delivered() const { return delivered_.load(); }
-  /// Frames the reader rejected (bad magic, oversized count, truncation).
-  std::uint64_t frames_corrupt() const { return frames_corrupt_.load(); }
-  /// Frames the writer destroyed (injected corruption or truncation).
-  std::uint64_t frames_aborted() const { return frames_aborted_.load(); }
-  /// Frames published but never delivered (stranded in the ring when the
-  /// stream died); attributed lost at teardown.
-  std::uint64_t frames_undelivered() const {
-    return frames_undelivered_.load();
-  }
-  /// Failed send attempts, injected and organic.
-  std::uint64_t send_failures() const { return send_failures_.load(); }
-  /// Records this link destroyed and attributed (all loss sites).
-  std::uint64_t records_lost() const { return records_lost_.load(); }
-  /// Ring-full park episodes on the producer side (backpressure evidence).
-  std::uint64_t ring_full_waits() const { return ring_full_waits_.load(); }
-  /// Latched once either end declared the byte stream desynchronized.
-  bool stream_corrupt() const { return stream_corrupt_.load(); }
-
- private:
-  friend class ShmTransport;
-
-  ShmLink(std::size_t index, DataLink& ingress, DataLink& egress,
-          ShmRing ring, const ShmOptions& opts);
-  void start();
-
-  void pump_main();
-  void handle_batch(DataBatch&& batch);
-  /// Parks until `len` bytes fit in the ring.  Returns false when the
-  /// consumer is gone or the stream died (write_mu_ held).
-  bool wait_for_space_locked(std::size_t len);
-  void prune_acked_locked();
-  void close_writer_locked();
-  /// Mid-frame failure: poison + latch (write_mu_ held).
-  void abort_stream_locked();
-  obs::PipelineObserver* observer() const {
-    return observer_.load(std::memory_order_acquire);
-  }
-  void lose_keys(const std::vector<obs::LineageKey>& keys,
-                 std::uint64_t count, obs::LossSite site);
-  void lose_batch(const DataBatch& batch, obs::LossSite site);
-
-  // Reader-side entry points (called by ShmTransport's reader thread).
-  void on_frame_delivered() {
-    delivered_.fetch_add(1, std::memory_order_release);
-  }
-  void on_reader_corrupt() {
-    frames_corrupt_.fetch_add(1, std::memory_order_relaxed);
-    stream_corrupt_.store(true, std::memory_order_relaxed);
-  }
-  /// Stream over (EOF, corruption, or abandoned teardown): attribute every
-  /// published frame the reader never confirmed.  The reader sets
-  /// kConsumerGone before calling, so a concurrent pump fails its next
-  /// space check instead of racing this ledger.
-  void reconcile_undelivered();
-
-  const std::size_t index_;
-  DataLink& ingress_;
-  DataLink& egress_;
-  const ShmOptions opts_;
-
-  std::mutex write_mu_;
-  ShmRing ring_;                            // producer view (write_mu_)
-  std::deque<std::pair<std::vector<obs::LineageKey>, std::uint64_t>>
-      unacked_;                             // guarded by write_mu_
-  std::uint64_t acked_ = 0;                 // guarded by write_mu_
-  fault::FaultInjector* fault_ = nullptr;   // guarded by write_mu_
-  fault::RetryPolicy retry_;                // guarded by write_mu_
-  stats::Rng backoff_rng_{0};               // guarded by write_mu_
-  std::atomic<obs::PipelineObserver*> observer_{nullptr};
-
-  std::thread pump_;
-  std::atomic<bool> writer_closed_{false};
-  std::atomic<bool> stream_corrupt_{false};
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> frames_corrupt_{0};
-  std::atomic<std::uint64_t> frames_aborted_{0};
-  std::atomic<std::uint64_t> frames_undelivered_{0};
-  std::atomic<std::uint64_t> send_failures_{0};
-  std::atomic<std::uint64_t> records_lost_{0};
-  std::atomic<std::uint64_t> ring_full_waits_{0};
-};
-
-/// The shared-memory data plane of one TransferProtocol: owns the mapped
-/// segments, the egress links, the per-link pumps, and the single reader
-/// thread that polls every ring.
-class ShmTransport {
- public:
-  /// Builds one ring segment per data link of `tp` and starts the reader +
-  /// pumps.  `tp` must outlive this object.  Throws std::invalid_argument
-  /// on a ring capacity that is zero or not a power of two, or one too
-  /// small to ever hold a single-record frame.
-  ShmTransport(TransferProtocol& tp, ShmOptions opts);
-  ~ShmTransport();
-  ShmTransport(const ShmTransport&) = delete;
-  ShmTransport& operator=(const ShmTransport&) = delete;
-
-  std::size_t link_count() const { return links_.size(); }
-  ShmLink& link(std::size_t index) { return *links_.at(index); }
-  /// The bounded buffer the ISM consumes for data link `index`.
-  DataLink& egress(std::size_t index) { return *egress_.at(index); }
-  const ShmOptions& options() const { return opts_; }
-
-  /// Forwarded to every link.  Call before traffic for deterministic
-  /// fault lanes (kShmPush / kShmFrame, node = batch source).
-  void set_fault(fault::FaultInjector* f, fault::RetryPolicy retry = {});
-  void set_observer(obs::PipelineObserver* o);
-
-  /// Blocks until every pump has drained its (closed) ingress link and the
-  /// reader has retired every ring — after this, all loss accounting is
-  /// final and the ledgers stop moving.  Requires the ingress links closed
-  /// first, and a consumer still draining the egress links while healthy
-  /// streams flush (the ISM shutdown path provides both).  Idempotent.
-  void quiesce();
-
-  /// Sum of records destroyed and attributed on the shm plane, all links.
-  std::uint64_t records_lost_total() const;
-  std::uint64_t frames_delivered_total() const;
-
- private:
-  /// Reader-side reassembly state of one ring.
-  struct Rx {
-    ShmRing ring;  ///< consumer view
-    std::size_t link = 0;
-    bool done = false;
-    bool in_payload = false;
-    FrameHeader hdr;
-    DataBatch batch;
+   private:
+    ShmRing ring_;
   };
 
-  void reader_main();
-  /// Consumes whatever the ring holds; returns true when progress was made.
-  bool service(Rx& rx);
-  void deliver(Rx& rx);
-  void finish(Rx& rx, bool corrupt);
+  /// Read side: the consumer view of the ring, and the segment it lives in.
+  class Reader {
+   public:
+    Reader(std::unique_ptr<MappedSegment> seg, ShmRing ring)
+        : seg_(std::move(seg)), ring_(ring) {}
+    ReadStatus read(void* dst, std::size_t len, bool mid_frame);
+    /// Consumer gone: a pump parked on a full ring observes the flag and
+    /// fails its send cleanly.
+    void hang_up() { ring_.set_flags(ShmRing::kConsumerGone); }
 
-  ShmOptions opts_;
-  std::vector<std::unique_ptr<MappedSegment>> segments_;
-  std::vector<std::unique_ptr<DataLink>> egress_;
-  std::vector<std::unique_ptr<ShmLink>> links_;
-  std::vector<Rx> rxs_;  // reader thread only (after construction)
-  std::thread reader_;
+   private:
+    std::unique_ptr<MappedSegment> seg_;
+    ShmRing ring_;
+  };
+
+  /// Throws std::invalid_argument on a ring capacity that is zero, not a
+  /// power of two, or too small to ever hold a single-record frame.
+  static void check(const Options& opts);
+  /// One ring in a fresh mapped segment per link.
+  static std::pair<Writer, Reader> open(const Options& opts);
+
+  /// The reader thread: services every live ring round-robin, backing off
+  /// (spin, yield, sleep) while all of them are idle.
+  template <class Rx, class Service, class Fail>
+  static void read_loop(std::vector<Rx>& rxs, Service&& service, Fail&&);
 };
+
+using ShmLink = FramedLink<ShmRingPath>;
+using ShmTransport = FramedTransport<ShmRingPath>;
+extern template class FramedLink<ShmRingPath>;
+extern template class FramedTransport<ShmRingPath>;
+
+template <class Rx, class Service, class Fail>
+void ShmRingPath::read_loop(std::vector<Rx>& rxs, Service&& service,
+                            Fail&&) {
+  // Busy/idle split for the live tier's obs report: the yield/sleep rungs
+  // of the backoff ladder are idle; spinning and draining rings are busy
+  // (a spinning reader occupies its core whether or not frames arrive).
+  obs::prof::WorkerClock clock(kReaderClock);
+  std::size_t idle = 0;
+  for (;;) {
+    bool any = false;
+    bool all_done = true;
+    for (auto& rx : rxs) {
+      if (rx.done) continue;
+      all_done = false;
+      if (service(rx)) any = true;
+    }
+    if (all_done) return;
+    if (any) {
+      idle = 0;
+      continue;
+    }
+    // Idle backoff: re-poll immediately a few times (a producer is usually
+    // mid-publish), then yield, then sleep so an idle plane costs nothing.
+    if (++idle < 16) continue;
+    const std::uint64_t t_park = obs::prof::prof_now_ns();
+    if (idle < 64)
+      std::this_thread::yield();
+    else
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    clock.add_idle_ns(obs::prof::prof_now_ns() - t_park);
+  }
+}
 
 }  // namespace prism::core

@@ -3,17 +3,11 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <stdexcept>
 #include <system_error>
-
-#include "core/clock.hpp"
-#include "obs/live/flight.hpp"
-#include "obs/prof/prof.hpp"
 
 namespace prism::core {
 
@@ -80,479 +74,67 @@ std::pair<int, int> make_socket_pair(SocketDomain domain) {
   return {accepted, client};
 }
 
-// ----------------------------------------------------------------- SocketLink
+// ---------------------------------------------------------------- FdStreamPath
 
-SocketLink::SocketLink(std::size_t index, DataLink& ingress, DataLink& egress,
-                       int write_fd, const SocketOptions& opts)
-    : index_(index),
-      ingress_(ingress),
-      egress_(egress),
-      opts_(opts),
-      write_fd_(write_fd) {}
-
-SocketLink::~SocketLink() {
-  // The owner closes the ingress link before destroying us, which is what
-  // lets the pump drain and exit.
-  if (pump_.joinable()) pump_.join();
-  std::lock_guard lk(write_mu_);
-  close_writer_locked();
-}
-
-void SocketLink::start() {
-  pump_ = std::thread([this] { pump_main(); });
-}
-
-void SocketLink::set_fault(fault::FaultInjector* f, fault::RetryPolicy retry) {
-  std::lock_guard lk(write_mu_);
-  fault_ = f;
-  retry_ = retry;
-  backoff_rng_ = stats::Rng(
-      stats::Rng::hash_seed(f ? f->seed() : 0, 0x50cbull + index_));
-}
-
-void SocketLink::lose_keys(const std::vector<obs::LineageKey>& keys,
-                           std::uint64_t count, obs::LossSite site) {
-  records_lost_.fetch_add(count, std::memory_order_relaxed);
-  PRISM_OBS_FLIGHT("wire_loss", obs::to_string(site), index_, count);
-  auto* o = observer();
-  if (!o) return;
-  const auto t = static_cast<double>(now_ns());
-  for (const auto k : keys) o->lineage.lose(k, site, t);
-}
-
-void SocketLink::lose_batch(const DataBatch& batch, obs::LossSite site) {
-  records_lost_.fetch_add(batch.records.size(), std::memory_order_relaxed);
-  PRISM_OBS_FLIGHT("wire_loss", obs::to_string(site), index_,
-                   batch.records.size());
-  auto* o = observer();
-  if (!o) return;
-  const auto t = static_cast<double>(now_ns());
-  for (const auto& r : batch.records)
-    o->lineage.lose(obs::lineage_key(r.node, r.process, r.seq), site, t);
-}
-
-void SocketLink::close_writer_locked() {
-  if (!writer_closed_.exchange(true) && write_fd_ >= 0) {
-    ::close(write_fd_);
-    write_fd_ = -1;
-  }
-}
-
-void SocketLink::abort_stream_locked() {
-  if (!stream_corrupt_.exchange(true, std::memory_order_relaxed))
-    PRISM_OBS_FLIGHT("stream_corrupt", "socket", index_, 0);
-  close_writer_locked();
-}
-
-void SocketLink::prune_acked_locked() {
-  const std::uint64_t d = delivered_.load(std::memory_order_acquire);
-  while (acked_ < d && !unacked_.empty()) {
-    unacked_.pop_front();
-    ++acked_;
-  }
-}
-
-bool SocketLink::flush_locked() {
-  prune_acked_locked();
-  if (wire_.empty())
-    return !(writer_closed_.load() || stream_corrupt_.load());
-  if (writer_closed_.load() || stream_corrupt_.load()) {
-    for (const auto& pf : pending_) {
-      if (pf.accounted) continue;
-      send_failures_.fetch_add(1, std::memory_order_relaxed);
-      lose_keys(pf.keys, pf.record_count, obs::LossSite::kTpSendFailed);
-    }
-    pending_.clear();
-    wire_.clear();
-    return false;
-  }
-  const std::size_t len = wire_.size();
-  const std::size_t written = io_write_all(write_fd_, wire_.data(), len);
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(written, std::memory_order_relaxed);
-  if (written == len) {
-    for (auto& pf : pending_) {
-      if (pf.accounted) continue;
-      frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      unacked_.emplace_back(std::move(pf.keys), pf.record_count);
-    }
-    pending_.clear();
-    wire_.clear();
-    return true;
-  }
-  if (written == 0) {
-    // Nothing landed: the stream is still at a frame boundary (typically
-    // EPIPE after the reader closed).  Clean, non-desyncing failure; the
-    // coalesced frames are gone but the link stays formally open.
-    for (const auto& pf : pending_) {
-      if (pf.accounted) continue;
-      send_failures_.fetch_add(1, std::memory_order_relaxed);
-      lose_keys(pf.keys, pf.record_count, obs::LossSite::kTpSendFailed);
-    }
-    pending_.clear();
-    wire_.clear();
-    return false;
-  }
-  // Mid-stream failure: frames wholly before the cut are on the wire and
-  // may still be delivered (the unacked ledger decides); the straddling
-  // frame is destroyed; later frames never left.  Every byte after the cut
-  // would be misparsed, so the stream fails hard.
-  for (auto& pf : pending_) {
-    if (pf.accounted) continue;
-    if (pf.offset + pf.size <= written) {
-      frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      unacked_.emplace_back(std::move(pf.keys), pf.record_count);
-    } else if (pf.offset < written) {
-      frames_aborted_.fetch_add(1, std::memory_order_relaxed);
-      send_failures_.fetch_add(1, std::memory_order_relaxed);
-      lose_keys(pf.keys, pf.record_count, obs::LossSite::kFrameCorrupt);
-    } else {
-      send_failures_.fetch_add(1, std::memory_order_relaxed);
-      lose_keys(pf.keys, pf.record_count, obs::LossSite::kTpSendFailed);
-    }
-  }
-  pending_.clear();
-  wire_.clear();
-  abort_stream_locked();
-  return false;
-}
-
-void SocketLink::handle_batch(DataBatch&& batch) {
-  std::lock_guard lk(write_mu_);
-  if (writer_closed_.load() || stream_corrupt_.load()) {
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
-    lose_batch(batch, obs::LossSite::kTpSendFailed);
-    return;
-  }
-
-  // Send-attempt faults: injected transient failures happen before any byte
-  // is serialized, so they are cleanly retryable.
-  std::uint32_t attempt = 0;
-  for (;;) {
-    if (!fault_) break;
-    const auto f =
-        fault_->consult(fault::FaultSite::kSocketSend, batch.source_node);
-    if (f.kind == fault::FaultKind::kStall ||
-        f.kind == fault::FaultKind::kSlowConsumer)
-      fault::sleep_ns(f.stall_ns);
-    if (f.kind != fault::FaultKind::kSendFail) break;
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
-    if (++attempt >= retry_.max_attempts) {
-      lose_batch(batch, obs::LossSite::kRetryExhausted);
-      return;
-    }
-    fault::sleep_ns(retry_.backoff_ns(attempt, backoff_rng_));
-  }
-
-  bool corrupt_magic = false;
-  if (fault_) {
-    const auto f =
-        fault_->consult(fault::FaultSite::kSocketFrame, batch.source_node);
-    if (f.kind == fault::FaultKind::kPartialFrame) {
-      // The writer dies mid-frame: whatever was coalesced before this frame
-      // goes out whole, then half this frame hits the wire and the stream
-      // is desynchronized.
-      flush_locked();
-      if (!writer_closed_.load()) {
-        std::vector<char> wire;
-        append_frame(wire, batch);
-        io_write_all(write_fd_, wire.data(), wire.size() / 2);
-      }
-      frames_aborted_.fetch_add(1, std::memory_order_relaxed);
-      send_failures_.fetch_add(1, std::memory_order_relaxed);
-      lose_batch(batch, obs::LossSite::kFrameCorrupt);
-      abort_stream_locked();
-      return;
-    }
-    if (f.kind == fault::FaultKind::kFrameCorrupt) corrupt_magic = true;
-  }
-
-  PendingFrame pf;
-  pf.offset = wire_.size();
-  append_frame(wire_, batch, corrupt_magic);
-  pf.size = wire_.size() - pf.offset;
-  pf.record_count = batch.records.size();
-  if (corrupt_magic) {
-    // The frame ships whole but with a flipped magic: the reader must
-    // detect it; the records are gone either way.  Accounted here, where
-    // their identity is still known, and excluded from the unacked ledger.
-    pf.accounted = true;
-    frames_aborted_.fetch_add(1, std::memory_order_relaxed);
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
-    lose_batch(batch, obs::LossSite::kFrameCorrupt);
-  } else if (observer()) {
-    pf.keys.reserve(batch.records.size());
-    for (const auto& r : batch.records)
-      pf.keys.push_back(obs::lineage_key(r.node, r.process, r.seq));
-  }
-  pending_.push_back(std::move(pf));
-  if (wire_.size() >= opts_.coalesce_byte_budget) flush_locked();
-}
-
-void SocketLink::pump_main() {
-  // Busy/idle split for the live tier's obs report: blocking on an empty
-  // ingress is idle, everything else (serialize, flush, write) is busy.
-  obs::prof::WorkerClock clock("io.socket.pump");
-  for (;;) {
-    bool have_pending;
-    {
-      std::lock_guard lk(write_mu_);
-      have_pending = !wire_.empty();
-    }
-    // Coalescing discipline: only block on an empty ingress once the wire
-    // buffer has been flushed, so a queue that momentarily runs dry never
-    // strands serialized frames.
-    const std::uint64_t t_park = obs::prof::prof_now_ns();
-    std::optional<Message> msg =
-        have_pending ? ingress_.try_pop() : ingress_.pop();
-    if (!have_pending)  // only the blocking pop counts as idle
-      clock.add_idle_ns(obs::prof::prof_now_ns() - t_park);
-    if (!msg) {
-      if (have_pending) {
-        std::lock_guard lk(write_mu_);
-        flush_locked();
-        continue;
-      }
-      break;  // ingress closed and drained
-    }
-    if (auto* batch = std::get_if<DataBatch>(&*msg)) {
-      handle_batch(std::move(*batch));
-    } else {
-      // Control messages never ride the data wire: the control plane is
-      // in-process (§2.2.3 allows direct ISM<->LIS control), so bypass
-      // straight into the egress buffer after flushing what precedes it.
-      {
-        std::lock_guard lk(write_mu_);
-        flush_locked();
-      }
-      egress_.push(std::move(*msg));
-    }
-  }
-  std::lock_guard lk(write_mu_);
-  flush_locked();
-  close_writer_locked();
-}
-
-void SocketLink::close_writer() {
-  std::lock_guard lk(write_mu_);
-  flush_locked();
-  close_writer_locked();
-}
-
-bool SocketLink::inject_raw(const void* data, std::size_t len) {
-  std::lock_guard lk(write_mu_);
-  if (writer_closed_.load()) return false;
-  flush_locked();
-  if (writer_closed_.load()) return false;
-  return io_write_all(write_fd_, data, len) == len;
-}
-
-void SocketLink::reconcile_undelivered() {
-  std::lock_guard lk(write_mu_);
-  prune_acked_locked();
-  for (const auto& [keys, count] : unacked_) {
-    frames_undelivered_.fetch_add(1, std::memory_order_relaxed);
-    lose_keys(keys, count, obs::LossSite::kFrameCorrupt);
-  }
-  unacked_.clear();
-}
-
-// ------------------------------------------------------------ SocketTransport
-
-SocketTransport::SocketTransport(TransferProtocol& tp, SocketOptions opts)
-    : opts_(opts) {
-  if (opts_.max_frame_records == 0)
-    throw std::invalid_argument("SocketTransport: max_frame_records 0");
-  if (opts_.coalesce_byte_budget == 0)
+void FdStreamPath::check(const Options& opts) {
+  if (opts.coalesce_byte_budget == 0)
     throw std::invalid_argument("SocketTransport: coalesce_byte_budget 0");
+}
+
+std::pair<FdStreamPath::Writer, FdStreamPath::Reader> FdStreamPath::open(
+    const Options& opts) {
   ignore_sigpipe_once();
-  const std::size_t n = tp.data_link_count();
-  egress_.reserve(n);
-  links_.reserve(n);
-  conns_.reserve(n);
-  try {
-    for (std::size_t i = 0; i < n; ++i) {
-      egress_.push_back(
-          std::make_unique<DataLink>(tp.data_link(i).capacity()));
-      auto [read_fd, write_fd] = make_socket_pair(opts_.domain);
-      try {
-        set_nonblocking(read_fd);
-        set_nonblocking(write_fd);
-      } catch (...) {
-        close_quiet(read_fd);
-        close_quiet(write_fd);
-        throw;
-      }
-      Conn c;
-      c.fd = read_fd;
-      c.link = i;
-      conns_.push_back(std::move(c));
-      links_.emplace_back(new SocketLink(i, tp.data_link(i), *egress_[i],
-                                         write_fd, opts_));
+  const auto [read_fd, write_fd] = make_socket_pair(opts.domain);
+  // Owned from here on: a throw below closes both ends.
+  Reader reader{UniqueFd(read_fd)};
+  Writer writer{UniqueFd(write_fd), opts.coalesce_byte_budget};
+  set_nonblocking(read_fd);
+  set_nonblocking(write_fd);
+  return {std::move(writer), std::move(reader)};
+}
+
+void FdStreamPath::Writer::stage(const FrameHeader& hdr, const DataBatch& b,
+                                 WireFrame&& f) {
+  Staged s;
+  s.offset = wire_.size();
+  append_frame(wire_, b, /*corrupt_magic=*/hdr.magic != kFrameMagic);
+  s.size = wire_.size() - s.offset;
+  s.frame = std::move(f);
+  staged_.push_back(std::move(s));
+}
+
+void FdStreamPath::Writer::write_torn(const FrameHeader&, const DataBatch& b,
+                                      LinkCounters&) {
+  std::vector<char> wire;
+  append_frame(wire, b);
+  io_write_all(fd_.get(), wire.data(), wire.size() / 2);
+}
+
+bool FdStreamPath::Writer::write_raw(const void* data, std::size_t len,
+                                     LinkCounters&, std::size_t) {
+  return io_write_all(fd_.get(), data, len) == len;
+}
+
+ReadStatus FdStreamPath::Reader::read(void* dst, std::size_t len,
+                                      bool mid_frame) {
+  char* const p = static_cast<char*>(dst);
+  while (got_ < len) {
+    const ssize_t n = ::read(fd_.get(), p + got_, len - got_);
+    if (n > 0) {
+      got_ += static_cast<std::size_t>(n);
+      continue;
     }
-  } catch (...) {
-    // No threads are running yet; ~SocketLink closes the write fds.
-    for (auto& c : conns_) close_quiet(c.fd);
-    throw;
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+      return ReadStatus::kAgain;  // drained for now; back to poll
+    // EOF or hard error: clean only at a frame boundary.
+    return mid_frame || got_ != 0 ? ReadStatus::kTruncated : ReadStatus::kEof;
   }
-  reader_ = std::thread([this] { reader_main(); });
-  for (auto& l : links_) l->start();
+  got_ = 0;
+  return ReadStatus::kDone;
 }
 
-SocketTransport::~SocketTransport() {
-  // Orderly even when the owner never ran a shutdown: close the ingress
-  // links so the pumps drain and exit, and the egress links so a reader
-  // blocked on a full buffer unblocks.  In the normal lifecycle
-  // (Ism::stop -> close_data_links -> pump EOF -> reader finish) all of
-  // this already happened and the closes are no-ops.
-  for (auto& l : links_) l->ingress_.close();
-  for (auto& e : egress_) e->close();
-  links_.clear();  // joins the pumps, closing the write fds -> reader EOF
-  if (reader_.joinable()) reader_.join();
-  for (auto& c : conns_) close_quiet(c.fd);
-}
-
-void SocketTransport::quiesce() {
-  // Pumps exit once their ingress is closed and drained, closing the write
-  // fds; the reader then sees EOF (or the streams were already corrupt) and
-  // retires every connection, which freezes the undelivered ledgers.
-  for (auto& l : links_)
-    if (l->pump_.joinable()) l->pump_.join();
-  if (reader_.joinable()) reader_.join();
-}
-
-void SocketTransport::set_fault(fault::FaultInjector* f,
-                                fault::RetryPolicy retry) {
-  for (auto& l : links_) l->set_fault(f, retry);
-}
-
-void SocketTransport::set_observer(obs::PipelineObserver* o) {
-  for (auto& l : links_) l->set_observer(o);
-}
-
-std::uint64_t SocketTransport::records_lost_total() const {
-  std::uint64_t total = 0;
-  for (const auto& l : links_) total += l->records_lost();
-  return total;
-}
-
-std::uint64_t SocketTransport::frames_delivered_total() const {
-  std::uint64_t total = 0;
-  for (const auto& l : links_) total += l->frames_delivered();
-  return total;
-}
-
-void SocketTransport::deliver(Conn& c) {
-  SocketLink& l = *links_[c.link];
-  l.on_frame_delivered();
-  const std::uint64_t count = c.batch.records.size();
-  std::vector<obs::LineageKey> keys;
-  if (l.observer() != nullptr) {
-    keys.reserve(count);
-    for (const auto& r : c.batch.records)
-      keys.push_back(obs::lineage_key(r.node, r.process, r.seq));
-  }
-  DataBatch b = std::move(c.batch);
-  c.batch = DataBatch{};
-  c.in_payload = false;
-  c.got = 0;
-  if (!egress_[c.link]->push(Message(std::move(b)))) {
-    // Egress closed under us (abandoned teardown): the frame crossed the
-    // wire but the ISM will never see it.
-    l.lose_keys(keys, count, obs::LossSite::kIsmQueue);
-  }
-}
-
-void SocketTransport::finish(Conn& c, bool corrupt) {
-  if (corrupt) links_[c.link]->on_reader_corrupt();
-  // Close the read end first: a concurrent flush then fails with EPIPE
-  // instead of racing the in-transit ledger reconciled below, and a writer
-  // blocked on a full kernel buffer fails instead of hanging forever.
-  if (c.fd >= 0) {
-    ::close(c.fd);
-    c.fd = -1;
-  }
-  c.done = true;
-  links_[c.link]->reconcile_undelivered();
-  egress_[c.link]->close();
-}
-
-void SocketTransport::service(Conn& c) {
-  for (;;) {
-    char* const target =
-        !c.in_payload ? reinterpret_cast<char*>(&c.hdr)
-                      : reinterpret_cast<char*>(c.batch.records.data());
-    const std::size_t want =
-        !c.in_payload ? sizeof c.hdr
-                      : c.batch.records.size() * sizeof(trace::EventRecord);
-    while (c.got < want) {
-      const ssize_t n = ::read(c.fd, target + c.got, want - c.got);
-      if (n > 0) {
-        c.got += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-        return;  // drained for now; back to poll
-      // EOF or hard error: clean only at a frame boundary.
-      finish(c, /*corrupt=*/c.in_payload || c.got != 0);
-      return;
-    }
-    if (!c.in_payload) {
-      if (c.hdr.magic != kFrameMagic ||
-          c.hdr.record_count > opts_.max_frame_records) {
-        // The header is untrusted wire input: a bad magic or an insane
-        // record count desynchronizes the stream — stop before allocating
-        // anything from it.
-        finish(c, /*corrupt=*/true);
-        return;
-      }
-      c.batch = DataBatch{};
-      c.batch.source_node = c.hdr.source_node;
-      c.batch.t_sent_ns = c.hdr.t_sent_ns;
-      // Staging storage from the shared arena: the ISM returns it after
-      // consuming the batch, so steady-state receive allocates nothing.
-      c.batch.records = BatchArena::instance().acquire(c.hdr.record_count);
-      c.in_payload = true;
-      c.got = 0;
-    } else {
-      deliver(c);
-    }
-  }
-}
-
-void SocketTransport::reader_main() {
-  // Busy/idle split for the live tier's obs report: parked in poll(2) is
-  // idle, servicing connections is busy.
-  obs::prof::WorkerClock clock("io.socket.reader");
-  std::vector<pollfd> pfds;
-  std::vector<std::size_t> idx;
-  for (;;) {
-    pfds.clear();
-    idx.clear();
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-      if (conns_[i].done) continue;
-      pollfd p{};
-      p.fd = conns_[i].fd;
-      p.events = POLLIN;
-      pfds.push_back(p);
-      idx.push_back(i);
-    }
-    if (pfds.empty()) return;  // every connection reached EOF or corruption
-    const std::uint64_t t_park = obs::prof::prof_now_ns();
-    const int r = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1);
-    clock.add_idle_ns(obs::prof::prof_now_ns() - t_park);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      // poll itself failed hard: every remaining stream is unreadable.
-      for (const auto i : idx) finish(conns_[i], /*corrupt=*/true);
-      return;
-    }
-    for (std::size_t k = 0; k < pfds.size(); ++k) {
-      if (pfds[k].revents & (POLLIN | POLLHUP | POLLERR))
-        service(conns_[idx[k]]);
-    }
-  }
-}
+template class FramedLink<FdStreamPath>;
+template class FramedTransport<FdStreamPath>;
 
 }  // namespace prism::core

@@ -1,263 +1,189 @@
-// A real OS-socket transfer-protocol backend (§2.2.3 names sockets as the
-// Pablo / Issos TP).  Where PosixPipeLink is a standalone demonstration
-// link, SocketTransport is wired into the live tier: enabling it on a
-// kSocket TransferProtocol routes every data link's batches over an actual
-// kernel stream socket (AF_UNIX pair by default, TCP loopback optionally)
-// while the LIS and ISM code stay unchanged.
+// The fd-stream byte path of the framed-link engine (framed_link.hpp): the
+// `tp = socket` backend (§2.2.3 names sockets as the Pablo / Issos TP).
+// Enabling it on a kSocket TransferProtocol routes every data link's
+// batches over an actual kernel stream socket (AF_UNIX pair by default,
+// TCP loopback optionally) while the LIS and ISM code stay unchanged.
 //
-// Topology: per data link, a *pump* thread drains the existing in-process
-// DataLink (the ingress side the LISes keep pushing into), serializes
-// batches into wire frames — coalescing queued frames into one write(2) up
-// to SocketOptions::coalesce_byte_budget — and writes them to a non-blocking
-// socket.  One shared poll(2)-driven *reader* thread services all
-// connections, reassembles frames, and delivers them into per-link bounded
-// egress DataLinks, which the ISM consumes via receive_link().  Backpressure
-// is preserved end to end: a full egress blocks the reader, the kernel
-// socket buffer fills, the pump parks in poll(POLLOUT), the ingress link
-// fills, and the LIS blocks — the §3.2.3 bottleneck chain over real fds.
-// (Corollary: one slow egress can head-of-line-block the shared reader;
-// that is the same single-ISM-input serialization the paper's SISO analysis
-// assumes.)
-//
-// Wire format: identical to the pipe link (io_loop.hpp) — the frame header
-// is untrusted input and record_count is bound-checked before allocation.
-// Failure semantics also mirror the pipe: a frame that dies mid-write
-// desynchronizes the stream, so the writer closes and stream_corrupt()
-// latches; the reader treats bad magic / oversized count / truncation as a
-// corrupt stream and stops.
-//
-// Accounting: unlike the pipe link (whose caller owns the ledger), the pump
-// is the only witness to a destroyed batch, so SocketLink attributes every
-// wire loss itself via the attached PipelineObserver.  Because coalesced
-// frames can sit in the kernel buffer when the reader dies, the writer
-// keeps an in-transit ledger (unacked_) of each frame's record identities,
-// pruned against the reader's delivered count; at connection teardown any
-// unconfirmed frame's records are attributed as lost, which is what keeps
-// `admitted == completed + lost + in_flight` exact under chaos.
+// What this policy owns is only how bytes move over a non-blocking fd:
+//   - write side: frames are serialized into a coalescing buffer and go
+//     out in one write(2) (io_write_all, parking in poll(POLLOUT) on a full
+//     kernel buffer) once SocketOptions::coalesce_byte_budget is reached or
+//     the ingress runs dry.  A write that breaks off part-way is split per
+//     staged frame — whole, cut, or never sent — for the engine's ledger.
+//   - read side: one poll(2) over every link's read fd; reads accumulate
+//     until a header or payload is complete.  EOF at a frame boundary is
+//     clean, EOF mid-frame is truncation.
+// Corollary of the shared reader: one slow egress can head-of-line-block
+// it; that is the same single-ISM-input serialization the paper's SISO
+// analysis assumes.  Fault sites: kSocketSend / kSocketFrame.
 #pragma once
 
-#include <atomic>
+#include <poll.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/io_loop.hpp"
-#include "core/transfer_protocol.hpp"
-#include "fault/fault.hpp"
-#include "obs/pipeline.hpp"
+#include "core/framed_link.hpp"
 
 namespace prism::core {
 
 /// Creates a connected stream-socket pair of the given domain:
-/// {read_fd, write_fd}, both blocking (SocketTransport switches its own
+/// {read_fd, write_fd}, both blocking (the fd-stream path switches its own
 /// fds to non-blocking).  kUnix uses socketpair(2); kTcpLoopback binds
 /// 127.0.0.1:0, connects, and sets TCP_NODELAY on both ends.  Throws
 /// std::system_error on failure.  Public so cross-process tests can fork
 /// around one end.
 std::pair<int, int> make_socket_pair(SocketDomain domain);
 
-/// The write side of one socket connection: drains an ingress DataLink,
-/// frames + coalesces batches, and owns the writer half of the loss ledger.
-/// Constructed only by SocketTransport.
-class SocketLink {
+/// Owns one file descriptor: closed on reset() or destruction, movable.
+class UniqueFd {
  public:
-  ~SocketLink();
-  SocketLink(const SocketLink&) = delete;
-  SocketLink& operator=(const SocketLink&) = delete;
-
-  /// Flushes coalesced frames and closes the write fd; the reader drains
-  /// what is in the kernel buffer and then sees EOF.  Idempotent.  The pump
-  /// keeps draining the ingress link afterwards, attributing each further
-  /// batch as a tp_send_failed loss (parity with a closed pipe writer).
-  void close_writer();
-
-  /// Test hook: flushes pending frames, then writes raw bytes to the
-  /// socket, bypassing framing — lets corruption tests place arbitrary
-  /// garbage on the wire.
-  bool inject_raw(const void* data, std::size_t len);
-
-  /// Attaches the fault plane (may be null).  kSocketSend is consulted once
-  /// per send attempt (kSendFail retried per `retry`, stalls applied);
-  /// kSocketFrame once per frame serialized (kFrameCorrupt flips the magic
-  /// on the wire, kPartialFrame truncates the frame mid-write).  The lane
-  /// node is the batch's source node, mirroring the pipe link.
-  void set_fault(fault::FaultInjector* f, fault::RetryPolicy retry = {});
-
-  /// Attaches the observability sink (may be null).  Every record this
-  /// link destroys is attributed here — the pump is the only component
-  /// that still knows a destroyed batch's identity.  Call before traffic.
-  void set_observer(obs::PipelineObserver* o) {
-    observer_.store(o, std::memory_order_release);
+  explicit UniqueFd(int fd = -1) : fd_(fd) {}
+  UniqueFd(UniqueFd&& o) noexcept : fd_(std::exchange(o.fd_, -1)) {}
+  ~UniqueFd() { reset(); }
+  int get() const { return fd_; }
+  void reset() {
+    if (fd_ >= 0) ::close(std::exchange(fd_, -1));
   }
-
-  /// Frames fully written to the socket (excludes destroyed frames).
-  std::uint64_t frames_sent() const { return frames_sent_.load(); }
-  std::uint64_t bytes_sent() const { return bytes_.load(); }
-  /// write(2) flushes issued — with coalescing this is <= frames_sent.
-  std::uint64_t writes() const { return writes_.load(); }
-  /// Frames the reader parsed and delivered into the egress link.
-  std::uint64_t frames_delivered() const { return delivered_.load(); }
-  /// Frames the reader rejected (bad magic, oversized count, truncation).
-  std::uint64_t frames_corrupt() const { return frames_corrupt_.load(); }
-  /// Frames the writer destroyed (mid-frame failure, injected corruption
-  /// or truncation).
-  std::uint64_t frames_aborted() const { return frames_aborted_.load(); }
-  /// Frames written successfully but never delivered (stranded in the
-  /// kernel buffer when the stream died); attributed lost at teardown.
-  std::uint64_t frames_undelivered() const {
-    return frames_undelivered_.load();
-  }
-  /// Failed send attempts, injected and organic.
-  std::uint64_t send_failures() const { return send_failures_.load(); }
-  /// Records this link destroyed and attributed (all loss sites).
-  std::uint64_t records_lost() const { return records_lost_.load(); }
-  /// Latched once either end declared the byte stream desynchronized.
-  bool stream_corrupt() const { return stream_corrupt_.load(); }
 
  private:
-  friend class SocketTransport;
-
-  /// A serialized-but-unflushed frame in the coalescing buffer.
-  struct PendingFrame {
-    std::size_t offset = 0;  ///< byte offset within wire_
-    std::size_t size = 0;
-    /// Record identities for loss attribution; empty when `accounted`.
-    std::vector<obs::LineageKey> keys;
-    std::uint64_t record_count = 0;
-    /// Already attributed at enqueue (injected corrupt-magic frames).
-    bool accounted = false;
-  };
-
-  SocketLink(std::size_t index, DataLink& ingress, DataLink& egress,
-             int write_fd, const SocketOptions& opts);
-  void start();
-
-  void pump_main();
-  void handle_batch(DataBatch&& batch);
-  /// Writes the coalescing buffer.  Returns false when the stream is (or
-  /// became) unusable.  write_mu_ held.
-  bool flush_locked();
-  void prune_acked_locked();
-  void close_writer_locked();
-  /// Mid-frame failure: close + latch (write_mu_ held).
-  void abort_stream_locked();
-  obs::PipelineObserver* observer() const {
-    return observer_.load(std::memory_order_acquire);
-  }
-  /// Counts `count` records lost and attributes `keys` (empty when no
-  /// observer is attached) to `site`.
-  void lose_keys(const std::vector<obs::LineageKey>& keys,
-                 std::uint64_t count, obs::LossSite site);
-  void lose_batch(const DataBatch& batch, obs::LossSite site);
-
-  // Reader-side entry points (called by SocketTransport's reader thread).
-  void on_frame_delivered() {
-    delivered_.fetch_add(1, std::memory_order_release);
-  }
-  void on_reader_corrupt() {
-    frames_corrupt_.fetch_add(1, std::memory_order_relaxed);
-    stream_corrupt_.store(true, std::memory_order_relaxed);
-  }
-  /// Connection over (EOF or corrupt): attribute every written frame the
-  /// reader never confirmed.  Called with the read fd already closed, so a
-  /// concurrent flush fails with EPIPE instead of racing this ledger.
-  void reconcile_undelivered();
-
-  const std::size_t index_;
-  DataLink& ingress_;
-  DataLink& egress_;
-  const SocketOptions opts_;
-
-  std::mutex write_mu_;
-  int write_fd_ = -1;             // guarded by write_mu_
-  std::vector<char> wire_;        // guarded by write_mu_
-  std::deque<PendingFrame> pending_;  // guarded by write_mu_
-  /// Frames on the wire awaiting reader confirmation, FIFO (write_mu_).
-  std::deque<std::pair<std::vector<obs::LineageKey>, std::uint64_t>>
-      unacked_;
-  std::uint64_t acked_ = 0;       // guarded by write_mu_
-  fault::FaultInjector* fault_ = nullptr;   // guarded by write_mu_
-  fault::RetryPolicy retry_;                // guarded by write_mu_
-  stats::Rng backoff_rng_{0};               // guarded by write_mu_
-  /// Atomic: read by both the pump and the reader thread.
-  std::atomic<obs::PipelineObserver*> observer_{nullptr};
-
-  std::thread pump_;
-  std::atomic<bool> writer_closed_{false};
-  std::atomic<bool> stream_corrupt_{false};
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> writes_{0};
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> frames_corrupt_{0};
-  std::atomic<std::uint64_t> frames_aborted_{0};
-  std::atomic<std::uint64_t> frames_undelivered_{0};
-  std::atomic<std::uint64_t> send_failures_{0};
-  std::atomic<std::uint64_t> records_lost_{0};
+  int fd_ = -1;
 };
 
-/// The socket data plane of one TransferProtocol: owns the egress links,
-/// the per-link SocketLink pumps, and the single reader thread that
-/// services every connection.
-class SocketTransport {
- public:
-  /// Builds one connected socket per data link of `tp` and starts the
-  /// reader + pumps.  `tp` must outlive this object.
-  SocketTransport(TransferProtocol& tp, SocketOptions opts);
-  ~SocketTransport();
-  SocketTransport(const SocketTransport&) = delete;
-  SocketTransport& operator=(const SocketTransport&) = delete;
+/// The fd-stream byte policy of FramedLink / FramedTransport.
+struct FdStreamPath {
+  using Options = SocketOptions;
+  static constexpr fault::FaultSite kSendSite = fault::FaultSite::kSocketSend;
+  static constexpr fault::FaultSite kFrameSite = fault::FaultSite::kSocketFrame;
+  static constexpr std::uint64_t kBackoffSalt = 0x50cb;
+  static constexpr bool kCoalesces = true;
+  static constexpr const char* kPumpClock = "io.socket.pump";
+  static constexpr const char* kReaderClock = "io.socket.reader";
+  static constexpr const char* kStreamName = "socket";
 
-  std::size_t link_count() const { return links_.size(); }
-  SocketLink& link(std::size_t index) { return *links_.at(index); }
-  /// The bounded buffer the ISM consumes for data link `index`.
-  DataLink& egress(std::size_t index) { return *egress_.at(index); }
-  const SocketOptions& options() const { return opts_; }
+  /// Write side: the coalescing buffer in front of the write fd.
+  class Writer {
+   public:
+    Writer(UniqueFd fd, std::size_t budget)
+        : fd_(std::move(fd)), budget_(budget) {}
 
-  /// Forwarded to every link.  Call before traffic for deterministic
-  /// fault lanes (kSocketSend / kSocketFrame, node = batch source).
-  void set_fault(fault::FaultInjector* f, fault::RetryPolicy retry = {});
-  void set_observer(obs::PipelineObserver* o);
+    void close() { fd_.reset(); }
+    void poison() {}  // a torn byte stream poisons itself
+    static constexpr bool make_room(std::size_t, LinkCounters&, std::size_t) {
+      return true;  // a full kernel buffer parks inside io_write_all
+    }
+    bool pending() const { return !wire_.empty(); }
+    bool over_budget() const { return wire_.size() >= budget_; }
+    /// Serializes one frame into the coalescing buffer.
+    void stage(const FrameHeader& hdr, const DataBatch& b, WireFrame&& f);
+    /// Writes the buffer in one write(2) — or nothing when `dead` — and
+    /// hands every staged frame to `settle(frame, landed)`.  Returns true
+    /// when the write broke off mid-stream (the stream is desynchronized).
+    template <class Settle>
+    bool flush(bool dead, LinkCounters& n, Settle&& settle);
+    /// Writer death mid-frame: half the serialized frame hits the wire.
+    void write_torn(const FrameHeader& hdr, const DataBatch& b,
+                    LinkCounters& n);
+    bool write_raw(const void* data, std::size_t len, LinkCounters& n,
+                   std::size_t link);
 
-  /// Blocks until every pump has drained its (closed) ingress link and the
-  /// reader has retired every connection — after this, all wire-side loss
-  /// accounting is final and the ledgers stop moving.  Requires the ingress
-  /// links closed first, and a consumer still draining the egress links
-  /// while healthy streams flush (the ISM shutdown path provides both).
-  /// Idempotent.
-  void quiesce();
+   private:
+    /// A serialized-but-unflushed frame in the coalescing buffer.
+    struct Staged {
+      std::size_t offset = 0;  ///< byte offset within wire_
+      std::size_t size = 0;
+      WireFrame frame;
+    };
 
-  /// Sum of records destroyed and attributed on the wire, all links.
-  std::uint64_t records_lost_total() const;
-  std::uint64_t frames_delivered_total() const;
-
- private:
-  /// Reader-side reassembly state of one connection.
-  struct Conn {
-    int fd = -1;
-    std::size_t link = 0;
-    bool done = false;
-    bool in_payload = false;
-    FrameHeader hdr;
-    DataBatch batch;
-    std::size_t got = 0;  ///< bytes of the current target received
+    UniqueFd fd_;
+    std::size_t budget_;
+    std::vector<char> wire_;
+    std::vector<Staged> staged_;
   };
 
-  void reader_main();
-  /// Drains readable bytes; returns when the connection blocks or ends.
-  void service(Conn& c);
-  void deliver(Conn& c);
-  void finish(Conn& c, bool corrupt);
+  /// Read side: one non-blocking read fd plus the partial-read offset.
+  class Reader {
+   public:
+    explicit Reader(UniqueFd fd) : fd_(std::move(fd)) {}
+    int fd() const { return fd_.get(); }
+    ReadStatus read(void* dst, std::size_t len, bool mid_frame);
+    /// Closes the read end: a concurrent write then fails with EPIPE, and
+    /// a writer blocked on a full kernel buffer fails instead of hanging.
+    void hang_up() { fd_.reset(); }
 
-  SocketOptions opts_;
-  std::vector<std::unique_ptr<DataLink>> egress_;
-  std::vector<std::unique_ptr<SocketLink>> links_;
-  std::vector<Conn> conns_;  // reader thread only (after construction)
-  std::thread reader_;
+   private:
+    UniqueFd fd_;
+    std::size_t got_ = 0;  ///< bytes of the current target received
+  };
+
+  static void check(const Options& opts);
+  /// One connected, non-blocking socket pair per link.
+  static std::pair<Writer, Reader> open(const Options& opts);
+
+  /// The reader thread: poll(2) over every live link, servicing the
+  /// readable ones, until each has reached EOF or corruption.
+  template <class Rx, class Service, class Fail>
+  static void read_loop(std::vector<Rx>& rxs, Service&& service, Fail&& fail);
 };
+
+using SocketLink = FramedLink<FdStreamPath>;
+using SocketTransport = FramedTransport<FdStreamPath>;
+extern template class FramedLink<FdStreamPath>;
+extern template class FramedTransport<FdStreamPath>;
+
+template <class Settle>
+bool FdStreamPath::Writer::flush(bool dead, LinkCounters& n,
+                                 Settle&& settle) {
+  std::size_t written = 0;
+  if (!dead) {
+    written = io_write_all(fd_.get(), wire_.data(), wire_.size());
+    n.writes.fetch_add(1, std::memory_order_relaxed);
+    n.bytes.fetch_add(written, std::memory_order_relaxed);
+  }
+  // Nothing landed (typically EPIPE after the reader closed) leaves the
+  // stream at a frame boundary: every frame is a clean send failure.
+  for (auto& s : staged_)
+    settle(s.frame, s.offset + s.size <= written ? Landed::kWhole
+                    : s.offset < written         ? Landed::kCut
+                                                 : Landed::kNever);
+  const bool torn = written != 0 && written != wire_.size();
+  staged_.clear();
+  wire_.clear();
+  return torn;
+}
+
+template <class Rx, class Service, class Fail>
+void FdStreamPath::read_loop(std::vector<Rx>& rxs, Service&& service,
+                             Fail&& fail) {
+  // Busy/idle split for the live tier's obs report: parked in poll(2) is
+  // idle, servicing connections is busy.
+  obs::prof::WorkerClock clock(kReaderClock);
+  std::vector<pollfd> pfds;
+  std::vector<Rx*> live;
+  for (;;) {
+    pfds.clear();
+    live.clear();
+    for (auto& rx : rxs) {
+      if (rx.done) continue;
+      pfds.push_back(pollfd{rx.bytes.fd(), POLLIN, 0});
+      live.push_back(&rx);
+    }
+    if (pfds.empty()) return;  // every connection reached EOF or corruption
+    const std::uint64_t t_park = obs::prof::prof_now_ns();
+    const int r = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1);
+    clock.add_idle_ns(obs::prof::prof_now_ns() - t_park);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      // poll itself failed hard: every remaining stream is unreadable.
+      for (auto* rx : live) fail(*rx);
+      return;
+    }
+    for (std::size_t k = 0; k < pfds.size(); ++k)
+      if (pfds[k].revents & (POLLIN | POLLHUP | POLLERR)) service(*live[k]);
+  }
+}
 
 }  // namespace prism::core

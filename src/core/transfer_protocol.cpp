@@ -31,8 +31,6 @@ std::string_view to_string(TpFlavor f) {
   switch (f) {
     case TpFlavor::kPipe: return "pipe";
     case TpFlavor::kSocket: return "socket";
-    case TpFlavor::kRpc: return "rpc";
-    case TpFlavor::kCustom: return "custom";
     case TpFlavor::kShm: return "shm";
   }
   return "unknown";
@@ -63,54 +61,67 @@ TransferProtocol::TransferProtocol(TpFlavor flavor, std::size_t nodes,
 }
 
 TransferProtocol::~TransferProtocol() {
-  if (socket_ || shm_) {
+  if (wire_) {
     // The pumps exit once their ingress links close; the reader follows the
     // resulting EOFs.  Closing first makes the joins in the backend
-    // destructors finite even when the owner never ran an orderly shutdown.
+    // destructor finite even when the owner never ran an orderly shutdown.
     close_data_links();
-    socket_.reset();
-    shm_.reset();
+    wire_.reset();
   }
+}
+
+void TransferProtocol::attach(std::unique_ptr<WireBackend> wire) {
+  wire_ = std::move(wire);
+  wire_->set_fault(fault_, retry_);
+  wire_->set_observer(observer_);
 }
 
 void TransferProtocol::enable_socket_backend(const SocketOptions& opts) {
   if (flavor_ != TpFlavor::kSocket)
     throw std::logic_error(
         "TransferProtocol: socket backend requires TpFlavor::kSocket");
-  if (socket_)
+  if (wire_)
     throw std::logic_error("TransferProtocol: socket backend already enabled");
-  socket_ = std::make_unique<SocketTransport>(*this, opts);
-  socket_->set_fault(fault_, retry_);
-  socket_->set_observer(observer_);
+  attach(std::make_unique<SocketTransport>(*this, opts));
 }
 
 void TransferProtocol::enable_shm_backend(const ShmOptions& opts) {
   if (flavor_ != TpFlavor::kShm)
     throw std::logic_error(
         "TransferProtocol: shm backend requires TpFlavor::kShm");
-  if (shm_)
+  if (wire_)
     throw std::logic_error("TransferProtocol: shm backend already enabled");
-  shm_ = std::make_unique<ShmTransport>(*this, opts);
-  shm_->set_fault(fault_, retry_);
-  shm_->set_observer(observer_);
+  attach(std::make_unique<ShmTransport>(*this, opts));
+}
+
+void TransferProtocol::enable_backend(const SocketOptions& socket,
+                                      const ShmOptions& shm) {
+  if (flavor_ == TpFlavor::kSocket) enable_socket_backend(socket);
+  if (flavor_ == TpFlavor::kShm) enable_shm_backend(shm);
 }
 
 DataLink& TransferProtocol::receive_link(std::size_t index) {
-  if (socket_) return socket_->egress(index);
-  if (shm_) return shm_->egress(index);
-  return data_link(index);
+  return wire_ ? wire_->egress(index) : data_link(index);
+}
+
+SocketTransport* TransferProtocol::socket_transport() {
+  return socket_backend_enabled() ? static_cast<SocketTransport*>(wire_.get())
+                                  : nullptr;
+}
+
+ShmTransport* TransferProtocol::shm_transport() {
+  return shm_backend_enabled() ? static_cast<ShmTransport*>(wire_.get())
+                               : nullptr;
 }
 
 SocketLink& TransferProtocol::socket_link(std::size_t index) {
-  if (!socket_)
-    throw std::logic_error("TransferProtocol: socket backend not enabled");
-  return socket_->link(index);
+  if (auto* t = socket_transport()) return t->link(index);
+  throw std::logic_error("TransferProtocol: socket backend not enabled");
 }
 
 ShmLink& TransferProtocol::shm_link(std::size_t index) {
-  if (!shm_)
-    throw std::logic_error("TransferProtocol: shm backend not enabled");
-  return shm_->link(index);
+  if (auto* t = shm_transport()) return t->link(index);
+  throw std::logic_error("TransferProtocol: shm backend not enabled");
 }
 
 void TransferProtocol::set_fault(fault::FaultInjector* f,
@@ -119,14 +130,12 @@ void TransferProtocol::set_fault(fault::FaultInjector* f,
   retry_ = retry;
   backoff_rng_ =
       stats::Rng(stats::Rng::hash_seed(f ? f->seed() : 0, 0x7c0ull));
-  if (socket_) socket_->set_fault(f, retry);
-  if (shm_) shm_->set_fault(f, retry);
+  if (wire_) wire_->set_fault(f, retry);
 }
 
 void TransferProtocol::set_observer(obs::PipelineObserver* o) {
   observer_ = o;
-  if (socket_) socket_->set_observer(o);
-  if (shm_) shm_->set_observer(o);
+  if (wire_) wire_->set_observer(o);
 }
 
 DataLink& TransferProtocol::data_link_for(std::uint32_t node) {
@@ -210,8 +219,7 @@ void TransferProtocol::close_data_links() {
   // The backend pumps drain the closed links asynchronously (attributing
   // whatever a dead stream can no longer carry); wait for that accounting
   // to finish so ledgers read after shutdown are final, not racing.
-  if (socket_) socket_->quiesce();
-  if (shm_) shm_->quiesce();
+  if (wire_) wire_->quiesce();
 }
 
 void TransferProtocol::close_control_links() {

@@ -7,11 +7,10 @@
 // the ISM and concurrent application processes (directly or via the LIS)."
 //
 // The TP here is a consistent message format (data batches + control
-// messages) over bounded blocking links.  Links model the OS IPC flavors of
-// Fig. 3 (pipe / socket / RPC) — semantically they differ only in the
-// descriptive flavor tag and default capacity; all provide FIFO,
+// messages) over bounded blocking links.  Every flavor provides FIFO,
 // finite-capacity, blocking delivery, which is the behavior every model in
-// the paper depends on.
+// the paper depends on; the real backends (socket, shm) carry the data
+// plane over an actual byte path underneath (see TpFlavor).
 #pragma once
 
 #include <array>
@@ -80,13 +79,14 @@ using Message = std::variant<DataBatch, ControlMessage>;
 using DataLink = Channel<Message>;
 using ControlLink = Channel<ControlMessage>;
 
-/// IPC flavor tags of Fig. 3 ("RPC / Sockets / Pipes") plus the
-/// custom-protocol option the paper notes for VIZIR.  kSocket and kShm are
-/// real backends: enable_socket_backend() routes the data plane over
-/// OS-level stream sockets (see socket_link.hpp), enable_shm_backend() over
-/// lock-free SPSC rings in shared-memory segments (see shm_link.hpp).
-/// kRpc / kCustom remain descriptive tags over in-process links.
-enum class TpFlavor : std::uint8_t { kPipe, kSocket, kRpc, kCustom, kShm };
+/// IPC flavors of Fig. 3 ("RPC / Sockets / Pipes").  kPipe is the
+/// in-process link: a bounded Channel<Message> between threads of one
+/// process, with no byte stream under it.  kSocket and kShm are real
+/// backends built on one framed-link engine (framed_link.hpp):
+/// enable_socket_backend() routes the data plane over OS-level stream
+/// sockets (socket_link.hpp), enable_shm_backend() over lock-free SPSC
+/// rings in shared-memory segments (shm_link.hpp).
+enum class TpFlavor : std::uint8_t { kPipe, kSocket, kShm };
 
 std::string_view to_string(TpFlavor f);
 
@@ -102,7 +102,7 @@ std::string_view to_string(SocketDomain d);
 struct SocketOptions {
   SocketDomain domain = SocketDomain::kUnix;
   /// Upper bound on records per frame accepted from the wire (the header is
-  /// untrusted input; same bound check as the pipe link).
+  /// untrusted input; checked before any allocation).
   std::uint64_t max_frame_records = 1ull << 20;
   /// Write-side batching: a link's pump coalesces queued DataBatch frames
   /// into one write syscall until the serialized bytes reach this budget.
@@ -116,14 +116,43 @@ struct ShmOptions {
   /// single-record frame; link setup rejects anything else.
   std::size_t ring_capacity = 1 << 20;
   /// Upper bound on records per frame accepted from the ring (the header is
-  /// untrusted shared state; same bound check as the pipe and socket links).
+  /// untrusted shared state; checked before any allocation).
   std::uint64_t max_frame_records = 1ull << 20;
 };
 
-class SocketTransport;  // socket_link.hpp
-class SocketLink;
-class ShmTransport;  // shm_link.hpp
-class ShmLink;
+template <class Bytes>
+class FramedLink;  // framed_link.hpp
+template <class Bytes>
+class FramedTransport;
+struct FdStreamPath;  // socket_link.hpp
+struct ShmRingPath;   // shm_link.hpp
+using SocketLink = FramedLink<FdStreamPath>;
+using SocketTransport = FramedTransport<FdStreamPath>;
+using ShmLink = FramedLink<ShmRingPath>;
+using ShmTransport = FramedTransport<ShmRingPath>;
+
+/// The enabled real data plane of a TransferProtocol, whichever byte path
+/// carries it (FramedTransport, framed_link.hpp).
+class WireBackend {
+ public:
+  WireBackend() = default;
+  WireBackend(const WireBackend&) = delete;
+  WireBackend& operator=(const WireBackend&) = delete;
+  virtual ~WireBackend() = default;
+  /// The bounded buffer the ISM consumes for data link `index`.
+  virtual DataLink& egress(std::size_t index) = 0;
+  virtual void set_fault(fault::FaultInjector* f,
+                         fault::RetryPolicy retry) = 0;
+  virtual void set_observer(obs::PipelineObserver* o) = 0;
+  /// Blocks until every pump has drained its (closed) ingress link and the
+  /// reader has retired every byte path — after this, all wire-side loss
+  /// accounting is final.  Requires the ingress links closed first, and a
+  /// consumer still draining the egress links while healthy streams flush
+  /// (the ISM shutdown path provides both).  Idempotent.
+  virtual void quiesce() = 0;
+  /// Records destroyed and attributed on the wire, all links.
+  virtual std::uint64_t records_lost_total() const = 0;
+};
 
 /// Wiring for one integrated environment: data links from each LIS toward
 /// the ISM and a control link back to each LIS.  The number of data links is
@@ -154,7 +183,9 @@ class TransferProtocol {
   /// stays in-process (§2.2.3 allows direct ISM<->LIS control).  Call once,
   /// before any traffic; requires flavor() == kSocket.
   void enable_socket_backend(const SocketOptions& opts = {});
-  bool socket_backend_enabled() const { return socket_ != nullptr; }
+  bool socket_backend_enabled() const {
+    return wire_ && flavor_ == TpFlavor::kSocket;
+  }
 
   /// Makes the kShm flavor real: each data link grows a pump that frames its
   /// batches into a lock-free SPSC ring in a shared-memory segment, and a
@@ -164,19 +195,31 @@ class TransferProtocol {
   /// flavor() == kShm.  Throws std::invalid_argument on a ring capacity that
   /// is zero, not a power of two, or too small for one record frame.
   void enable_shm_backend(const ShmOptions& opts = {});
-  bool shm_backend_enabled() const { return shm_ != nullptr; }
+  bool shm_backend_enabled() const {
+    return wire_ && flavor_ == TpFlavor::kShm;
+  }
 
   /// Link the ISM consumes: the enabled backend's egress buffer (socket or
   /// shm), else the data link itself.
   DataLink& receive_link(std::size_t index);
 
   /// Socket-backend introspection (null / throws when not enabled).
-  SocketTransport* socket_transport() { return socket_.get(); }
+  SocketTransport* socket_transport();
   SocketLink& socket_link(std::size_t index);
 
   /// Shm-backend introspection (null / throws when not enabled).
-  ShmTransport* shm_transport() { return shm_.get(); }
+  ShmTransport* shm_transport();
   ShmLink& shm_link(std::size_t index);
+
+  /// Enables the real backend flavor() names (kSocket or kShm) with its
+  /// options; a no-op for the in-process kPipe.
+  void enable_backend(const SocketOptions& socket, const ShmOptions& shm);
+
+  /// Records destroyed and attributed on the enabled backend's wire (0
+  /// without one).
+  std::uint64_t wire_records_lost() const {
+    return wire_ ? wire_->records_lost_total() : 0;
+  }
 
   /// Broadcasts a control message to every node's control link.
   /// Lifecycle-critical kinds (see lifecycle_critical()) block for up to the
@@ -224,6 +267,8 @@ class TransferProtocol {
 
  private:
   bool deliver_control(std::size_t node, const ControlMessage& m);
+  /// Installs an enabled backend and hands it the attached planes.
+  void attach(std::unique_ptr<WireBackend> wire);
 
   TpFlavor flavor_;
   std::vector<std::unique_ptr<DataLink>> datas_;
@@ -237,10 +282,9 @@ class TransferProtocol {
   std::mutex control_mu_;
   stats::Rng backoff_rng_{0};
   obs::PipelineObserver* observer_ = nullptr;
-  /// Real OS-socket data plane (kSocket flavor only; see socket_link.hpp).
-  std::unique_ptr<SocketTransport> socket_;
-  /// Shared-memory data plane (kShm flavor only; see shm_link.hpp).
-  std::unique_ptr<ShmTransport> shm_;
+  /// The real data plane, once enabled: a SocketTransport for kSocket, a
+  /// ShmTransport for kShm.
+  std::unique_ptr<WireBackend> wire_;
 };
 
 }  // namespace prism::core

@@ -94,8 +94,7 @@ FaultPlan& FaultPlan::crash(FaultSite site, std::uint64_t at_op,
 
 FaultPlan& FaultPlan::corrupt_frame(double p, std::uint32_t node,
                                     FaultSite site) {
-  if (site != FaultSite::kPipeFrame && site != FaultSite::kSocketFrame &&
-      site != FaultSite::kShmFrame)
+  if (site != FaultSite::kSocketFrame && site != FaultSite::kShmFrame)
     throw std::invalid_argument("FaultPlan: corrupt_frame needs a frame site");
   FaultSpec s;
   s.site = site;
@@ -107,8 +106,7 @@ FaultPlan& FaultPlan::corrupt_frame(double p, std::uint32_t node,
 
 FaultPlan& FaultPlan::partial_frame(std::uint64_t at_op, std::uint32_t node,
                                     FaultSite site) {
-  if (site != FaultSite::kPipeFrame && site != FaultSite::kSocketFrame &&
-      site != FaultSite::kShmFrame)
+  if (site != FaultSite::kSocketFrame && site != FaultSite::kShmFrame)
     throw std::invalid_argument("FaultPlan: partial_frame needs a frame site");
   FaultSpec s;
   s.site = site;

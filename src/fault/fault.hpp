@@ -2,7 +2,7 @@
 //
 // The paper's thesis is that an instrumentation system must be evaluated
 // before it is trusted (§1, Fig. 1); a production IS must additionally be
-// evaluated under *failure*: pipes break mid-frame, daemons die, tools hang,
+// evaluated under *failure*: streams break mid-frame, daemons die, tools hang,
 // links stall.  This module makes those failures a reproducible input
 // instead of an accident: a FaultPlan declares what can go wrong at which
 // named pipeline site, and a FaultInjector turns the plan plus one RNG seed
@@ -38,7 +38,7 @@ namespace prism::fault {
 enum class FaultKind : std::uint8_t {
   kNone = 0,       ///< no fault this consult
   kSendFail,       ///< transient send failure (retryable)
-  kFrameCorrupt,   ///< wire-frame corruption (bad magic on the pipe)
+  kFrameCorrupt,   ///< wire-frame corruption (bad magic on the wire)
   kPartialFrame,   ///< writer dies mid-frame (header without payload)
   kStall,          ///< the operation stalls for stall_ns before proceeding
   kCrash,          ///< the component dies at this consult (permanent)
@@ -53,15 +53,17 @@ enum class FaultSite : std::uint8_t {
   kTpSend = 0,     ///< LIS -> ISM data-link send (one consult per batch)
   kTpReceive,      ///< ISM input side (one consult per batch received)
   kTpControl,      ///< ISM -> LIS control broadcast (one consult per node)
-  kPipeSend,       ///< PosixPipeLink::send entry (per frame)
-  kPipeFrame,      ///< PosixPipeLink frame boundary (corruption injection)
+  // Retired (the standalone pipe(2) link is gone).  The slots stay because
+  // lanes are seeded from the site's value: renumbering would reseed them.
+  kPipeSend,
+  kPipeFrame,
   kLisTick,        ///< daemon LIS sampling tick (crash / stall injection)
   kIsmDispatch,    ///< ISM output-buffer dispatch (slow-consumer injection)
   kToolCallback,   ///< per-tool consume() (crash isolation; node = tool idx)
-  kSocketSend,     ///< SocketLink send entry (per frame; retryable failures)
-  kSocketFrame,    ///< SocketLink frame boundary (corruption injection)
-  kShmPush,        ///< ShmLink ring push entry (per frame; retryable failures)
-  kShmFrame,       ///< ShmLink frame boundary (corruption injection)
+  kSocketSend,     ///< fd-stream link send entry (per frame; retryable)
+  kSocketFrame,    ///< fd-stream link frame boundary (corruption injection)
+  kShmPush,        ///< shm link ring push entry (per frame; retryable)
+  kShmFrame,       ///< shm link frame boundary (corruption injection)
   kAggForward,     ///< aggregator ISM -> root ISM uplink send (per pre-reduced
                    ///< batch; node = shard id; crash kills the aggregator)
 };
@@ -111,13 +113,11 @@ class FaultPlan {
   FaultPlan& crash(FaultSite site, std::uint64_t at_op,
                    std::uint32_t node = kAnyNode);
   /// Frame corruption with probability `p` at a wire frame boundary
-  /// (kPipeFrame by default; pass kSocketFrame / kShmFrame for the real
-  /// backends).
-  FaultPlan& corrupt_frame(double p, std::uint32_t node = kAnyNode,
-                           FaultSite site = FaultSite::kPipeFrame);
-  /// Writer death mid-frame on the `at_op`-th wire frame.
-  FaultPlan& partial_frame(std::uint64_t at_op, std::uint32_t node = kAnyNode,
-                           FaultSite site = FaultSite::kPipeFrame);
+  /// (`site` is kSocketFrame or kShmFrame; anything else throws).
+  FaultPlan& corrupt_frame(double p, std::uint32_t node, FaultSite site);
+  /// Writer death mid-frame on the `at_op`-th wire frame (`site` as above).
+  FaultPlan& partial_frame(std::uint64_t at_op, std::uint32_t node,
+                           FaultSite site);
 
   const std::vector<FaultSpec>& specs() const { return specs_; }
   bool empty() const { return specs_.empty(); }
@@ -167,7 +167,7 @@ class FaultInjector {
   FaultInjectorStats stats_;
 };
 
-/// Retry/backoff policy for send paths (TP data sends, pipe frames,
+/// Retry/backoff policy for send paths (TP data sends, wire frames,
 /// lifecycle-critical control messages).  Attempt k (1-based) backs off
 /// base_backoff_ns * multiplier^(k-1), jittered by a uniform factor in
 /// [1-jitter, 1+jitter].  max_attempts == 1 means "no retry".

@@ -192,13 +192,27 @@ TEST(ConfigIo, RejectsBadFederationValues) {
 TEST(ConfigIo, TpFlavorRoundTripsAllFlavors) {
   // to_string/parse symmetry for every transport flavor, through a full
   // serialize -> parse cycle.
-  for (const TpFlavor f : {TpFlavor::kPipe, TpFlavor::kSocket, TpFlavor::kRpc,
-                           TpFlavor::kCustom, TpFlavor::kShm}) {
+  for (const TpFlavor f :
+       {TpFlavor::kPipe, TpFlavor::kSocket, TpFlavor::kShm}) {
     EnvironmentConfig cfg;
     cfg.tp_flavor = f;
     const auto back =
         parse_environment_config(serialize_environment_config(cfg));
     EXPECT_EQ(back.tp_flavor, f) << to_string(f);
+  }
+}
+
+TEST(ConfigIo, RetiredFlavorTagsAreConfigErrorsWithTheirLine) {
+  // rpc / custom were labels on the in-process link, not transports.
+  for (const char* text : {"nodes = 2\ntp = rpc\n", "nodes = 2\ntp = custom\n",
+                           "nodes = 2\nroot_tp = rpc\n",
+                           "nodes = 2\nroot_tp = custom\n"}) {
+    try {
+      parse_environment_config(text);
+      FAIL() << "expected ConfigError for " << text;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.line(), 2u) << text;
+    }
   }
 }
 
@@ -220,7 +234,7 @@ TEST(ConfigIo, SerializeParseRoundTrip) {
   cfg.lis_style = LisStyle::kForwarding;
   cfg.flush_policy = FlushPolicyKind::kThreshold;
   cfg.flush_threshold_fraction = 0.5;
-  cfg.tp_flavor = TpFlavor::kRpc;
+  cfg.tp_flavor = TpFlavor::kPipe;
   cfg.ism.input = InputConfig::kMiso;
   cfg.ism.causal_ordering = true;
   cfg.ism.storage_path = "/tmp/rt.trc";

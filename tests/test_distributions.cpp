@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "stats/distributions.hpp"
 #include "stats/summary.hpp"
@@ -25,6 +26,11 @@ struct DistCase {
   std::shared_ptr<Distribution> dist;
   const char* name;
 };
+
+// Without this, gtest prints the parameter as raw bytes — heap and binary
+// addresses that ASLR changes on every run — and the discovered ctest names
+// would differ from build to build.
+void PrintTo(const DistCase& c, std::ostream* os) { *os << c.name; }
 
 class MomentTest : public ::testing::TestWithParam<DistCase> {};
 

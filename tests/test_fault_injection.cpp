@@ -101,13 +101,25 @@ TEST(FaultPlan, RejectsUnusableSpecs) {
   EXPECT_THROW(p.add(zero_stall), std::invalid_argument);
 }
 
+TEST(FaultPlan, FrameFaultsNeedALiveFrameSite) {
+  // kPipeFrame is a retired slot: a plan naming it would never fire.
+  FaultPlan p;
+  EXPECT_THROW(p.corrupt_frame(0.1, fault::kAnyNode, FaultSite::kPipeFrame),
+               std::invalid_argument);
+  EXPECT_THROW(p.partial_frame(1, fault::kAnyNode, FaultSite::kPipeFrame),
+               std::invalid_argument);
+  EXPECT_THROW(p.corrupt_frame(0.1, fault::kAnyNode, FaultSite::kTpSend),
+               std::invalid_argument);
+  EXPECT_TRUE(p.empty());
+}
+
 TEST(FaultPlan, NamedBuildersProduceValidSpecs) {
   FaultPlan p;
   p.send_failure(FaultSite::kTpSend, 0.1)
       .stall(FaultSite::kIsmDispatch, 1000, 0.05)
       .crash(FaultSite::kLisTick, 7, 2)
-      .corrupt_frame(0.01)
-      .partial_frame(3);
+      .corrupt_frame(0.01, fault::kAnyNode, FaultSite::kSocketFrame)
+      .partial_frame(3, fault::kAnyNode, FaultSite::kShmFrame);
   EXPECT_EQ(p.specs().size(), 5u);
   EXPECT_FALSE(p.empty());
   // stall() at a consumer site maps to kSlowConsumer, elsewhere to kStall.
@@ -121,7 +133,8 @@ TEST(FaultPlan, NamedBuildersProduceValidSpecs) {
 
 TEST(FaultInjector, SameSeedSamePlanSameDecisions) {
   FaultPlan p;
-  p.send_failure(FaultSite::kTpSend, 0.3).corrupt_frame(0.2);
+  p.send_failure(FaultSite::kTpSend, 0.3)
+      .corrupt_frame(0.2, fault::kAnyNode, FaultSite::kSocketFrame);
   FaultInjector a(p, 42), b(p, 42);
   for (int i = 0; i < 500; ++i) {
     const auto fa = a.consult(FaultSite::kTpSend, 1);
@@ -173,14 +186,14 @@ TEST(FaultInjector, AtOpFiresExactlyOnce) {
 TEST(FaultInjector, EveryNFiresPeriodically) {
   FaultPlan p;
   FaultSpec s;
-  s.site = FaultSite::kPipeSend;
+  s.site = FaultSite::kTpSend;
   s.kind = FaultKind::kSendFail;
   s.every_n = 4;
   p.add(s);
   FaultInjector inj(p, 0);
   int fired = 0;
   for (int op = 1; op <= 12; ++op)
-    fired += inj.consult(FaultSite::kPipeSend).kind == FaultKind::kSendFail;
+    fired += inj.consult(FaultSite::kTpSend).kind == FaultKind::kSendFail;
   EXPECT_EQ(fired, 3);
 }
 

@@ -1,8 +1,9 @@
-// Shared-memory TP backend: framing round trips through SPSC rings,
-// bounded-egress backpressure, untrusted-header rejection, EOF handling,
-// the in-transit loss ledger, fault-injection parity with the pipe and
-// socket links, batch-storage recycling through the BatchArena, and
-// end-to-end integration with the ISM and the integrated environment.
+// The shared-memory byte path (`tp = shm`): framing round trips through
+// SPSC rings, bounded-egress backpressure and ring capacity, retry
+// exhaustion and corrupt-magic attribution, batch-storage recycling
+// through the BatchArena, and integration with the ISM and the integrated
+// environment under seeded chaos.  The contract every byte path shares
+// lives in test_framed_link.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -240,19 +241,6 @@ TEST(ShmBackpressure, FrameLargerThanTheRingIsLostNotWedged) {
 
 // ---- EOF and teardown ---------------------------------------------------------
 
-TEST(ShmLinkTest, CloseWriterDeliversThenCleanEof) {
-  ShmHarness h;
-  for (std::uint64_t i = 0; i < 5; ++i)
-    ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(0, 2, i * 2))));
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(h.tp.receive_link(0).pop());
-  h.tp.shm_link(0).close_writer();
-  // EOF lands at a frame boundary: the egress closes with nothing lost.
-  EXPECT_FALSE(h.tp.receive_link(0).pop().has_value());
-  EXPECT_FALSE(h.tp.shm_link(0).stream_corrupt());
-  EXPECT_EQ(h.tp.shm_link(0).frames_undelivered(), 0u);
-  EXPECT_EQ(h.tp.shm_link(0).records_lost(), 0u);
-}
-
 TEST(ShmLinkTest, ClosingDataLinksDrainsAndClosesEgress) {
   ShmHarness h;
   for (std::uint64_t i = 0; i < 50; ++i)
@@ -266,123 +254,7 @@ TEST(ShmLinkTest, ClosingDataLinksDrainsAndClosesEgress) {
   EXPECT_EQ(h.tp.shm_link(0).frames_undelivered(), 0u);
 }
 
-TEST(ShmLinkTest, SendAfterWriterCloseIsAccountedLost) {
-  ShmHarness h;
-  obs::PipelineObserver obs;
-  h.tp.set_observer(&obs);
-  h.tp.shm_link(0).close_writer();
-  EXPECT_FALSE(h.tp.receive_link(0).pop().has_value());  // EOF
-  auto b = batch(0, 3, 0);
-  for (const auto& r : b.records)
-    obs.lineage.offer(obs::lineage_key(r.node, r.process, r.seq),
-                      static_cast<double>(now_ns()));
-  ASSERT_TRUE(h.tp.data_link(0).push(Message(std::move(b))));
-  ASSERT_TRUE(
-      eventually([&] { return h.tp.shm_link(0).records_lost() == 3; }));
-  const auto rep = obs.lineage.report();
-  EXPECT_EQ(
-      rep.lost_at[static_cast<std::size_t>(obs::LossSite::kTpSendFailed)], 3u);
-  EXPECT_EQ(rep.in_flight, 0u);
-}
-
-// ---- Ring corruption ----------------------------------------------------------
-
-/// Byte-level mirror of the wire header for hand-crafting bad frames.
-struct WireHeader {
-  std::uint32_t magic;
-  std::uint32_t source_node;
-  std::uint64_t t_sent_ns;
-  std::uint64_t record_count;
-};
-static_assert(sizeof(WireHeader) == 24, "wire format");
-
-TEST(ShmCorruption, BadMagicCorruptsStreamAfterGoodFrames) {
-  ShmHarness h;
-  ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(0, 2, 0))));
-  ASSERT_TRUE(h.tp.receive_link(0).pop());  // good frame delivered first
-  WireHeader bad{0xDEADBEEF, 0, 0, 1};
-  ASSERT_TRUE(h.tp.shm_link(0).inject_raw(&bad, sizeof bad));
-  // The reader rejects the header, latches corruption, and closes egress.
-  EXPECT_FALSE(h.tp.receive_link(0).pop().has_value());
-  EXPECT_TRUE(h.tp.shm_link(0).stream_corrupt());
-  EXPECT_EQ(h.tp.shm_link(0).frames_corrupt(), 1u);
-  EXPECT_EQ(h.tp.shm_link(0).frames_delivered(), 1u);
-  EXPECT_EQ(h.tp.shm_link(0).frames_undelivered(), 0u);
-}
-
-TEST(ShmCorruption, OversizedRecordCountRejectedBeforeAllocation) {
-  ShmOptions opts;
-  opts.max_frame_records = 64;
-  ShmHarness h(1, 256, opts);
-  // Header is well-formed but claims an insane payload; the reader must
-  // refuse it from the untrusted count alone, not trust-and-allocate.
-  WireHeader bomb{kFrameMagic, 0, 0, 1ull << 60};
-  ASSERT_TRUE(h.tp.shm_link(0).inject_raw(&bomb, sizeof bomb));
-  EXPECT_FALSE(h.tp.receive_link(0).pop().has_value());
-  EXPECT_TRUE(h.tp.shm_link(0).stream_corrupt());
-  EXPECT_EQ(h.tp.shm_link(0).frames_corrupt(), 1u);
-}
-
-TEST(ShmCorruption, TruncatedPayloadIsCorruptNotCleanEof) {
-  ShmHarness h;
-  WireHeader hdr{kFrameMagic, 0, 0, 10};  // promises 10 records...
-  ASSERT_TRUE(h.tp.shm_link(0).inject_raw(&hdr, sizeof hdr));
-  h.tp.shm_link(0).close_writer();  // ...then EOF mid-payload
-  EXPECT_FALSE(h.tp.receive_link(0).pop().has_value());
-  EXPECT_TRUE(h.tp.shm_link(0).stream_corrupt());
-  EXPECT_EQ(h.tp.shm_link(0).frames_corrupt(), 1u);
-}
-
-TEST(ShmCorruption, ReaderDeathAttributesRingBufferedFrames) {
-  // A corrupt stream strands any frame still in the ring.  Write a good
-  // frame immediately followed by garbage: the reader may deliver the good
-  // frame or die before parsing it, but the ledger must account every
-  // record either as delivered or as lost — never silently vanished.
-  ShmHarness h;
-  obs::PipelineObserver obs;
-  h.tp.set_observer(&obs);
-  auto b = batch(0, 4, 0);
-  for (const auto& r : b.records)
-    obs.lineage.offer(obs::lineage_key(r.node, r.process, r.seq),
-                      static_cast<double>(now_ns()));
-  ASSERT_TRUE(h.tp.data_link(0).push(Message(std::move(b))));
-  WireHeader bad{0x0BADF00D, 0, 0, 1};
-  ASSERT_TRUE(h.tp.shm_link(0).inject_raw(&bad, sizeof bad));
-  std::size_t delivered_records = 0;
-  while (auto msg = h.tp.receive_link(0).pop())
-    delivered_records += std::get_if<DataBatch>(&*msg)->records.size();
-  // Quiesce so the writer-side ledger is final before asserting on it.
-  h.tp.close_data_links();
-  auto& link = h.tp.shm_link(0);
-  EXPECT_TRUE(link.stream_corrupt());
-  EXPECT_EQ(delivered_records + link.records_lost(), 4u);
-  const auto rep = obs.lineage.report();
-  EXPECT_EQ(rep.in_flight, delivered_records);
-  EXPECT_EQ(rep.lost, 4u - delivered_records);
-}
-
 // ---- Fault injection ----------------------------------------------------------
-
-TEST(ShmFault, TransientPushFailureRetriesAndDelivers) {
-  ShmHarness h;
-  fault::FaultPlan p;
-  fault::FaultSpec s;
-  s.site = fault::FaultSite::kShmPush;
-  s.kind = fault::FaultKind::kSendFail;
-  s.at_op = 1;  // only the first attempt fails
-  p.add(s);
-  fault::FaultInjector inj(p, 11);
-  fault::RetryPolicy rp;
-  rp.base_backoff_ns = 100;
-  h.tp.set_fault(&inj, rp);
-
-  ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(0, 3, 0))));
-  auto msg = h.tp.receive_link(0).pop();
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(std::get_if<DataBatch>(&*msg)->records.size(), 3u);
-  EXPECT_EQ(h.tp.shm_link(0).send_failures(), 1u);
-  EXPECT_EQ(h.tp.shm_link(0).records_lost(), 0u);
-}
 
 TEST(ShmFault, RetryExhaustionAttributesTheBatch) {
   ShmHarness h;
@@ -452,37 +324,6 @@ TEST(ShmFault, InjectedCorruptMagicIsCaughtByTheReader) {
   EXPECT_EQ(rep.in_flight, 0u);
 }
 
-TEST(ShmFault, PartialFrameDesynchronizesAndAborts) {
-  ShmHarness h;
-  obs::PipelineObserver obs;
-  h.tp.set_observer(&obs);
-  fault::FaultPlan p;
-  p.partial_frame(2, fault::kAnyNode, fault::FaultSite::kShmFrame);
-  fault::FaultInjector inj(p, 13);
-  h.tp.set_fault(&inj);
-
-  for (std::uint64_t i = 0; i < 2; ++i) {
-    auto b = batch(0, 2, i * 2);
-    for (const auto& r : b.records)
-      obs.lineage.offer(obs::lineage_key(r.node, r.process, r.seq),
-                        static_cast<double>(now_ns()));
-    ASSERT_TRUE(h.tp.data_link(0).push(Message(std::move(b))));
-  }
-  // Frame 1 was published whole; frame 2 dies halfway into the ring.
-  std::size_t delivered_records = 0;
-  while (auto msg = h.tp.receive_link(0).pop())
-    delivered_records += std::get_if<DataBatch>(&*msg)->records.size();
-  auto& link = h.tp.shm_link(0);
-  EXPECT_TRUE(link.stream_corrupt());
-  EXPECT_EQ(link.frames_aborted(), 1u);
-  EXPECT_EQ(delivered_records, 2u);  // frame 1 was in the ring whole
-  EXPECT_EQ(link.records_lost(), 2u);
-  const auto rep = obs.lineage.report();
-  EXPECT_EQ(rep.in_flight, 2u);  // delivered into egress, nothing completes
-  EXPECT_EQ(
-      rep.lost_at[static_cast<std::size_t>(obs::LossSite::kFrameCorrupt)], 2u);
-}
-
 // ---- Batch-storage recycling --------------------------------------------------
 
 TEST(ShmArena, ReceivePathRecyclesBatchStorageThroughTheArena) {
@@ -532,33 +373,6 @@ TEST(ShmIntegration, FeedsIsmEndToEnd) {
   ism.stop();
   EXPECT_EQ(stats_tool->total(), 200u);
   EXPECT_EQ(tp.shm_link(0).records_lost(), 0u);
-}
-
-TEST(ShmIntegration, EnvironmentRunsOverSharedMemory) {
-  core::EnvironmentConfig cfg;
-  cfg.nodes = 2;
-  cfg.lis_style = core::LisStyle::kForwarding;
-  cfg.tp_flavor = TpFlavor::kShm;
-  cfg.ism.input = core::InputConfig::kSiso;
-  cfg.ism.causal_ordering = true;
-  IntegratedEnvironment env(cfg);
-  ASSERT_TRUE(env.tp().shm_backend_enabled());
-  auto tool = std::make_shared<StatsTool>();
-  env.attach_tool(tool);
-  obs::PipelineObserver obs;
-  env.set_observer(&obs);
-  env.start();
-  for (std::uint64_t i = 0; i < 400; ++i)
-    env.record(ev(static_cast<std::uint32_t>(i % 2), i / 2));
-  env.stop();
-
-  EXPECT_EQ(tool->total(), 400u);
-  EXPECT_FALSE(env.degradation().degraded());
-  EXPECT_EQ(env.degradation().records_lost_wire, 0u);
-  const auto rep = obs.lineage.report();
-  EXPECT_EQ(rep.admitted, 400u);
-  EXPECT_EQ(rep.completed, 400u);
-  EXPECT_EQ(rep.in_flight, 0u);
 }
 
 TEST(ShmIntegration, MisoEnvironmentUsesOneRingPerNode) {

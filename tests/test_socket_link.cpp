@@ -1,14 +1,15 @@
-// Real OS-socket TP backend: framing round trips over AF_UNIX / TCP
-// loopback, write coalescing, corrupt- and oversized-header rejection,
-// EOF handling, the in-transit loss ledger, fault injection parity with
-// the pipe link, cross-process delivery, and end-to-end integration with
-// the ISM and the integrated environment.
+// The fd-stream byte path (`tp = socket`): framing round trips over
+// AF_UNIX / TCP loopback, write coalescing, the SIGPIPE disposition,
+// retry exhaustion and corrupt-magic attribution, cross-process delivery,
+// and integration with the ISM and the integrated environment.  The
+// contract every byte path shares lives in test_framed_link.cpp.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -89,6 +90,28 @@ TEST(SocketBackend, RejectsUnusableOptions) {
   SocketOptions bad;
   bad.coalesce_byte_budget = 0;
   EXPECT_THROW(tp.enable_socket_backend(bad), std::invalid_argument);
+}
+
+TEST(SocketBackend, LaterTransportsDoNotReclobberSigpipeHandler) {
+  // The SIGPIPE disposition is installed exactly once per process: a
+  // handler the application installs afterwards survives every later
+  // transport construction.
+  { SocketHarness first; }  // guarantees the one-time install has fired
+  struct sigaction custom {};
+  custom.sa_handler = [](int) {};
+  ASSERT_EQ(::sigaction(SIGPIPE, &custom, nullptr), 0);
+  {
+    SocketHarness second;
+    ASSERT_TRUE(second.tp.data_link(0).push(Message(batch(0, 1))));
+    ASSERT_TRUE(second.tp.receive_link(0).pop().has_value());
+    struct sigaction now {};
+    ASSERT_EQ(::sigaction(SIGPIPE, nullptr, &now), 0);
+    EXPECT_EQ(now.sa_handler, custom.sa_handler);
+  }
+  // Restore SIG_IGN: the rest of the suite depends on EPIPE semantics.
+  struct sigaction ign {};
+  ign.sa_handler = SIG_IGN;
+  ASSERT_EQ(::sigaction(SIGPIPE, &ign, nullptr), 0);
 }
 
 TEST(SocketBackend, ReceiveLinkIsEgressNotIngress) {
@@ -226,19 +249,6 @@ TEST(SocketCoalescing, TinyBudgetFlushesEveryFrame) {
 
 // ---- EOF and teardown ---------------------------------------------------------
 
-TEST(SocketLinkTest, CloseWriterDeliversThenCleanEof) {
-  SocketHarness h;
-  for (std::uint64_t i = 0; i < 5; ++i)
-    ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(0, 2, i * 2))));
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(h.tp.receive_link(0).pop());
-  h.tp.socket_link(0).close_writer();
-  // EOF lands at a frame boundary: the egress closes with nothing lost.
-  EXPECT_FALSE(h.tp.receive_link(0).pop().has_value());
-  EXPECT_FALSE(h.tp.socket_link(0).stream_corrupt());
-  EXPECT_EQ(h.tp.socket_link(0).frames_undelivered(), 0u);
-  EXPECT_EQ(h.tp.socket_link(0).records_lost(), 0u);
-}
-
 TEST(SocketLinkTest, ClosingDataLinksDrainsAndClosesEgress) {
   // The normal shutdown path: close_data_links() lets the pump drain,
   // flush, and EOF the wire; every in-flight frame must still arrive.
@@ -254,129 +264,7 @@ TEST(SocketLinkTest, ClosingDataLinksDrainsAndClosesEgress) {
   EXPECT_EQ(h.tp.socket_link(0).frames_undelivered(), 0u);
 }
 
-TEST(SocketLinkTest, SendAfterWriterCloseIsAccountedLost) {
-  SocketHarness h;
-  obs::PipelineObserver obs;
-  h.tp.set_observer(&obs);
-  h.tp.socket_link(0).close_writer();
-  EXPECT_FALSE(h.tp.receive_link(0).pop().has_value());  // EOF
-  // The ingress link is still open; the pump keeps draining it and must
-  // attribute each post-close batch instead of silently eating it.
-  auto b = batch(0, 3, 0);
-  for (const auto& r : b.records)
-    obs.lineage.offer(obs::lineage_key(r.node, r.process, r.seq),
-                      static_cast<double>(now_ns()));
-  ASSERT_TRUE(h.tp.data_link(0).push(Message(std::move(b))));
-  ASSERT_TRUE(
-      eventually([&] { return h.tp.socket_link(0).records_lost() == 3; }));
-  const auto rep = obs.lineage.report();
-  EXPECT_EQ(
-      rep.lost_at[static_cast<std::size_t>(obs::LossSite::kTpSendFailed)], 3u);
-  EXPECT_EQ(rep.in_flight, 0u);
-}
-
-// ---- Wire corruption ----------------------------------------------------------
-
-/// Byte-level mirror of the wire header for hand-crafting bad frames.
-struct WireHeader {
-  std::uint32_t magic;
-  std::uint32_t source_node;
-  std::uint64_t t_sent_ns;
-  std::uint64_t record_count;
-};
-static_assert(sizeof(WireHeader) == 24, "wire format");
-
-TEST(SocketCorruption, BadMagicCorruptsStreamAfterGoodFrames) {
-  SocketHarness h;
-  ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(0, 2, 0))));
-  ASSERT_TRUE(h.tp.receive_link(0).pop());  // good frame delivered first
-  WireHeader bad{0xDEADBEEF, 0, 0, 1};
-  ASSERT_TRUE(h.tp.socket_link(0).inject_raw(&bad, sizeof bad));
-  // The reader rejects the header, latches corruption, and closes egress.
-  EXPECT_FALSE(h.tp.receive_link(0).pop().has_value());
-  EXPECT_TRUE(h.tp.socket_link(0).stream_corrupt());
-  EXPECT_EQ(h.tp.socket_link(0).frames_corrupt(), 1u);
-  EXPECT_EQ(h.tp.socket_link(0).frames_delivered(), 1u);
-  EXPECT_EQ(h.tp.socket_link(0).frames_undelivered(), 0u);
-}
-
-TEST(SocketCorruption, OversizedRecordCountRejectedBeforeAllocation) {
-  SocketOptions opts;
-  opts.max_frame_records = 64;
-  SocketHarness h(1, 256, opts);
-  // Header is well-formed but claims an insane payload; the reader must
-  // refuse it from the untrusted count alone, not trust-and-allocate.
-  WireHeader bomb{kFrameMagic, 0, 0, 1ull << 60};
-  ASSERT_TRUE(h.tp.socket_link(0).inject_raw(&bomb, sizeof bomb));
-  EXPECT_FALSE(h.tp.receive_link(0).pop().has_value());
-  EXPECT_TRUE(h.tp.socket_link(0).stream_corrupt());
-  EXPECT_EQ(h.tp.socket_link(0).frames_corrupt(), 1u);
-}
-
-TEST(SocketCorruption, TruncatedPayloadIsCorruptNotCleanEof) {
-  SocketHarness h;
-  WireHeader hdr{kFrameMagic, 0, 0, 10};  // promises 10 records...
-  ASSERT_TRUE(h.tp.socket_link(0).inject_raw(&hdr, sizeof hdr));
-  h.tp.socket_link(0).close_writer();  // ...then EOF mid-payload
-  EXPECT_FALSE(h.tp.receive_link(0).pop().has_value());
-  EXPECT_TRUE(h.tp.socket_link(0).stream_corrupt());
-  EXPECT_EQ(h.tp.socket_link(0).frames_corrupt(), 1u);
-}
-
-TEST(SocketCorruption, ReaderDeathAttributesKernelBufferedFrames) {
-  // A corrupt stream strands any frame still in the kernel buffer.  Write a
-  // good frame immediately followed by garbage: the reader may deliver the
-  // good frame or die before parsing it, but the ledger must account every
-  // record either as delivered or as lost — never silently vanished.
-  SocketHarness h;
-  obs::PipelineObserver obs;
-  h.tp.set_observer(&obs);
-  auto b = batch(0, 4, 0);
-  for (const auto& r : b.records)
-    obs.lineage.offer(obs::lineage_key(r.node, r.process, r.seq),
-                      static_cast<double>(now_ns()));
-  ASSERT_TRUE(h.tp.data_link(0).push(Message(std::move(b))));
-  WireHeader bad{0x0BADF00D, 0, 0, 1};
-  ASSERT_TRUE(h.tp.socket_link(0).inject_raw(&bad, sizeof bad));
-  std::size_t delivered_records = 0;
-  while (auto msg = h.tp.receive_link(0).pop())
-    delivered_records += std::get_if<DataBatch>(&*msg)->records.size();
-  // The egress closing proves the *reader* is done, not the pump: when the
-  // injected garbage outruns the queued batch, the pump is still attributing
-  // its EPIPE-failed flush.  Quiesce so the writer ledger is final too.
-  h.tp.close_data_links();
-  auto& link = h.tp.socket_link(0);
-  EXPECT_TRUE(link.stream_corrupt());
-  EXPECT_EQ(delivered_records + link.records_lost(), 4u);
-  // Lineage closes the same identity: records that crossed sit in-flight in
-  // the egress (nothing completes them here), the rest are attributed lost.
-  const auto rep = obs.lineage.report();
-  EXPECT_EQ(rep.in_flight, delivered_records);
-  EXPECT_EQ(rep.lost, 4u - delivered_records);
-}
-
 // ---- Fault injection ----------------------------------------------------------
-
-TEST(SocketFault, TransientSendFailureRetriesAndDelivers) {
-  SocketHarness h;
-  fault::FaultPlan p;
-  fault::FaultSpec s;
-  s.site = fault::FaultSite::kSocketSend;
-  s.kind = fault::FaultKind::kSendFail;
-  s.at_op = 1;  // only the first attempt fails
-  p.add(s);
-  fault::FaultInjector inj(p, 11);
-  fault::RetryPolicy rp;
-  rp.base_backoff_ns = 100;
-  h.tp.set_fault(&inj, rp);
-
-  ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(0, 3, 0))));
-  auto msg = h.tp.receive_link(0).pop();
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(std::get_if<DataBatch>(&*msg)->records.size(), 3u);
-  EXPECT_EQ(h.tp.socket_link(0).send_failures(), 1u);
-  EXPECT_EQ(h.tp.socket_link(0).records_lost(), 0u);
-}
 
 TEST(SocketFault, RetryExhaustionAttributesTheBatch) {
   SocketHarness h;
@@ -446,38 +334,6 @@ TEST(SocketFault, InjectedCorruptMagicIsCaughtByTheReader) {
   EXPECT_EQ(rep.in_flight, 0u);
 }
 
-TEST(SocketFault, PartialFrameDesynchronizesAndAborts) {
-  SocketHarness h;
-  obs::PipelineObserver obs;
-  h.tp.set_observer(&obs);
-  fault::FaultPlan p;
-  p.partial_frame(2, fault::kAnyNode, fault::FaultSite::kSocketFrame);
-  fault::FaultInjector inj(p, 13);
-  h.tp.set_fault(&inj);
-
-  for (std::uint64_t i = 0; i < 2; ++i) {
-    auto b = batch(0, 2, i * 2);
-    for (const auto& r : b.records)
-      obs.lineage.offer(obs::lineage_key(r.node, r.process, r.seq),
-                        static_cast<double>(now_ns()));
-    ASSERT_TRUE(h.tp.data_link(0).push(Message(std::move(b))));
-  }
-  // Frame 1 is delivered (flushed before the injected mid-frame death);
-  // frame 2 dies halfway onto the wire.
-  std::size_t delivered_records = 0;
-  while (auto msg = h.tp.receive_link(0).pop())
-    delivered_records += std::get_if<DataBatch>(&*msg)->records.size();
-  auto& link = h.tp.socket_link(0);
-  EXPECT_TRUE(link.stream_corrupt());
-  EXPECT_EQ(link.frames_aborted(), 1u);
-  EXPECT_EQ(delivered_records, 2u);  // frame 1 was on the wire whole
-  EXPECT_EQ(link.records_lost(), 2u);
-  const auto rep = obs.lineage.report();
-  EXPECT_EQ(rep.in_flight, 2u);  // delivered into egress, nothing completes
-  EXPECT_EQ(
-      rep.lost_at[static_cast<std::size_t>(obs::LossSite::kFrameCorrupt)], 2u);
-}
-
 // ---- Cross-process ------------------------------------------------------------
 
 TEST(SocketCrossProcess, ForkedChildFramesArriveIntact) {
@@ -545,33 +401,6 @@ TEST(SocketIntegration, FeedsIsmEndToEnd) {
   ism.stop();
   EXPECT_EQ(stats_tool->total(), 200u);
   EXPECT_EQ(tp.socket_link(0).records_lost(), 0u);
-}
-
-TEST(SocketIntegration, EnvironmentRunsOverRealSockets) {
-  core::EnvironmentConfig cfg;
-  cfg.nodes = 2;
-  cfg.lis_style = core::LisStyle::kForwarding;
-  cfg.tp_flavor = TpFlavor::kSocket;
-  cfg.ism.input = core::InputConfig::kSiso;
-  cfg.ism.causal_ordering = true;
-  IntegratedEnvironment env(cfg);
-  ASSERT_TRUE(env.tp().socket_backend_enabled());
-  auto tool = std::make_shared<StatsTool>();
-  env.attach_tool(tool);
-  obs::PipelineObserver obs;
-  env.set_observer(&obs);
-  env.start();
-  for (std::uint64_t i = 0; i < 400; ++i)
-    env.record(ev(static_cast<std::uint32_t>(i % 2), i / 2));
-  env.stop();
-
-  EXPECT_EQ(tool->total(), 400u);
-  EXPECT_FALSE(env.degradation().degraded());
-  EXPECT_EQ(env.degradation().records_lost_wire, 0u);
-  const auto rep = obs.lineage.report();
-  EXPECT_EQ(rep.admitted, 400u);
-  EXPECT_EQ(rep.completed, 400u);
-  EXPECT_EQ(rep.in_flight, 0u);
 }
 
 TEST(SocketIntegration, MisoEnvironmentUsesOneSocketPerNode) {

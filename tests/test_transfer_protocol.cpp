@@ -58,7 +58,7 @@ TEST(TransferProtocol, DataBatchRoundTrip) {
 }
 
 TEST(TransferProtocol, BroadcastReachesEveryNodeWithItsId) {
-  TransferProtocol tp(TpFlavor::kRpc, 3, 1, 16);
+  TransferProtocol tp(TpFlavor::kPipe, 3, 1, 16);
   tp.broadcast(ControlMessage{ControlKind::kFlushAll, 0, 0.0});
   for (std::uint32_t n = 0; n < 3; ++n) {
     auto m = tp.control_link(n).try_pop();
@@ -69,7 +69,7 @@ TEST(TransferProtocol, BroadcastReachesEveryNodeWithItsId) {
 }
 
 TEST(TransferProtocol, CloseAllEofsEverything) {
-  TransferProtocol tp(TpFlavor::kCustom, 2, 2, 16);
+  TransferProtocol tp(TpFlavor::kPipe, 2, 2, 16);
   tp.close_all();
   EXPECT_FALSE(tp.data_link(0).pop().has_value());
   EXPECT_FALSE(tp.data_link(1).pop().has_value());
@@ -79,7 +79,7 @@ TEST(TransferProtocol, CloseAllEofsEverything) {
 TEST(TransferProtocol, NamesForDisplay) {
   EXPECT_EQ(to_string(TpFlavor::kPipe), "pipe");
   EXPECT_EQ(to_string(TpFlavor::kSocket), "socket");
-  EXPECT_EQ(to_string(TpFlavor::kRpc), "rpc");
+  EXPECT_EQ(to_string(TpFlavor::kShm), "shm");
   EXPECT_EQ(to_string(ControlKind::kFlushAll), "flush_all");
   EXPECT_EQ(to_string(ControlKind::kSetSamplingPeriod),
             "set_sampling_period");
