@@ -1,7 +1,10 @@
 #include "core/environment.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
+
+#include "core/federation.hpp"
 
 #if PRISM_OBS_ENABLED
 #include <unistd.h>
@@ -60,37 +63,93 @@ IntegratedEnvironment::IntegratedEnvironment(EnvironmentConfig config)
     : config_(config) {
   if (config_.nodes == 0)
     throw std::invalid_argument("IntegratedEnvironment: 0 nodes");
-  const std::size_t data_links =
-      config_.ism.input == InputConfig::kSiso ? 1 : config_.nodes;
-  tp_ = std::make_unique<TransferProtocol>(config_.tp_flavor, config_.nodes,
-                                           data_links, config_.link_capacity);
+  const FederationOptions& fed = config_.federation;
+  const std::uint32_t shards = fed.shards;
+  // SISO shares one data link per TP; MISO gives each of its nodes one.
+  const auto data_links = [this](std::size_t nodes) -> std::size_t {
+    return config_.ism.input == InputConfig::kSiso ? 1 : nodes;
+  };
+  std::vector<std::vector<std::uint32_t>> members;
+  if (shards) {
+    // Partition the nodes into clusters.  A shard's member list is in
+    // global node order, and a node's cluster-local link index is its
+    // position in it.
+    router_ = std::make_unique<ShardRouter>(shards, fed.virtual_nodes,
+                                            fed.assign);
+    members.resize(shards);
+    for (std::uint32_t n = 0; n < config_.nodes; ++n)
+      members[router_->shard_for(n)].push_back(n);
+  }
+
+  // Root level.  Flat, the LISes are its nodes.  Federated, the aggregators
+  // are: one data link per shard (MISO across shards), over the root
+  // level's own transport flavor.
+  IsmConfig root_cfg = config_.ism;
+  if (shards) {
+    tp_ = std::make_unique<TransferProtocol>(
+        fed.root_tp.value_or(config_.tp_flavor), shards, shards,
+        config_.link_capacity);
+    root_cfg.input = shards == 1 ? InputConfig::kSiso : InputConfig::kMiso;
+  } else {
+    tp_ = std::make_unique<TransferProtocol>(
+        config_.tp_flavor, config_.nodes, data_links(config_.nodes),
+        config_.link_capacity);
+  }
   // kSocket and kShm have real data planes: batches leave the process's
   // in-memory links and cross kernel stream sockets or shared-memory rings.
   tp_->enable_backend(config_.socket, config_.shm);
-  ism_ = std::make_unique<Ism>(*tp_, config_.ism);
-  lises_.reserve(config_.nodes);
-  for (std::uint32_t n = 0; n < config_.nodes; ++n) {
-    switch (config_.lis_style) {
-      case LisStyle::kBuffered:
-        lises_.push_back(std::make_unique<BufferedLis>(
-            n, config_.local_buffer_capacity, make_flush_policy(config_),
-            tp_->data_link_for(n),
-            config_.flush_policy == FlushPolicyKind::kFaof ? &coordinator_
-                                                           : nullptr));
-        break;
-      case LisStyle::kForwarding:
-        lises_.push_back(
-            std::make_unique<ForwardingLis>(n, tp_->data_link_for(n)));
-        break;
-      case LisStyle::kDaemon:
-        lises_.push_back(std::make_unique<DaemonLis>(
-            n, config_.processes_per_node, config_.pipe_capacity,
-            config_.sampling_period_ns, tp_->data_link_for(n),
-            &tp_->control_link(n), config_.daemon_blocks_app_on_full_pipe,
-            &probe_registry_));
-        break;
-    }
+  ism_ = std::make_unique<Ism>(*tp_, root_cfg);
+
+  lises_.resize(config_.nodes);
+  if (!shards) {
+    for (std::uint32_t n = 0; n < config_.nodes; ++n)
+      lises_[n] = make_lis(n, *tp_, n);
+    return;
   }
+  // Cluster level: one TP + aggregator per shard, LISes wired to their
+  // cluster-local links.  Consistent hashing can leave a shard empty; the
+  // TP still needs one node slot, and the idle aggregator just drains
+  // nothing.
+  cluster_tps_.reserve(shards);
+  aggregators_.reserve(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const auto& m = members[s];
+    const std::size_t cluster_nodes = std::max<std::size_t>(1, m.size());
+    auto tp = std::make_unique<TransferProtocol>(
+        config_.tp_flavor, cluster_nodes, data_links(cluster_nodes),
+        config_.link_capacity);
+    tp->enable_backend(config_.socket, config_.shm);
+    // LISes keep their *global* node id (record routing, fault lanes,
+    // causal streams) but send on their cluster-local link.
+    for (std::uint32_t i = 0; i < m.size(); ++i)
+      lises_[m[i]] = make_lis(m[i], *tp, i);
+    aggregators_.push_back(std::make_unique<AggregatorIsm>(
+        s, *tp, tp_->data_link(s), std::move(members[s]),
+        fed.agg_batch_records, config_.ism.causal_ordering));
+    cluster_tps_.push_back(std::move(tp));
+  }
+}
+
+std::unique_ptr<Lis> IntegratedEnvironment::make_lis(std::uint32_t node,
+                                                     TransferProtocol& tp,
+                                                     std::uint32_t local) {
+  switch (config_.lis_style) {
+    case LisStyle::kBuffered:
+      return std::make_unique<BufferedLis>(
+          node, config_.local_buffer_capacity, make_flush_policy(config_),
+          tp.data_link_for(local),
+          config_.flush_policy == FlushPolicyKind::kFaof ? &coordinator_
+                                                         : nullptr);
+    case LisStyle::kForwarding:
+      return std::make_unique<ForwardingLis>(node, tp.data_link_for(local));
+    case LisStyle::kDaemon:
+      return std::make_unique<DaemonLis>(
+          node, config_.processes_per_node, config_.pipe_capacity,
+          config_.sampling_period_ns, tp.data_link_for(local),
+          &tp.control_link(local), config_.daemon_blocks_app_on_full_pipe,
+          &probe_registry_);
+  }
+  throw std::invalid_argument("IntegratedEnvironment: unknown LIS style");
 }
 
 IntegratedEnvironment::~IntegratedEnvironment() {
@@ -109,6 +168,7 @@ void IntegratedEnvironment::start() {
   if (started_) return;
   started_ = true;
   ism_->start();
+  for (auto& a : aggregators_) a->start();
   if (config_.telemetry.mode != TelemetryMode::kOff) {
 #if PRISM_OBS_ENABLED
     if (config_.telemetry.period_ms == 0)
@@ -181,11 +241,23 @@ void IntegratedEnvironment::stop() {
   if (server_) server_->stop();
 #endif
   for (auto& l : lises_) l->stop();
-  // Graceful degradation: tell the ISM which sources died before it drains,
-  // so the causal reorderer stops waiting for their lost sends and releases
-  // the records their death stranded — partial results, fully delivered.
-  for (std::uint32_t n = 0; n < lises_.size(); ++n)
-    if (lises_[n]->dead()) ism_->mark_source_dead(n);
+  // Graceful degradation rolls dead sources up through every level: a dead
+  // LIS stops being waited for at its shard's pre-reducer and at the root
+  // merge, so the causal reorderers release the records its death stranded
+  // instead of waiting for its lost sends — partial results, fully
+  // delivered.  With no aggregator level only the root is told.
+  for (std::uint32_t n = 0; n < lises_.size(); ++n) {
+    if (!lises_[n]->dead()) continue;
+    if (!aggregators_.empty())
+      aggregators_[router_->shard_for(n)]->mark_source_dead(n);
+    ism_->mark_source_dead(n);
+  }
+  for (auto& a : aggregators_) a->stop();
+  // A dead aggregator takes its whole cluster's remaining stream with it:
+  // the root expires the shard as a group, so holds between two of its
+  // members resolve instead of stranding.
+  for (auto& a : aggregators_)
+    if (a->dead()) ism_->mark_sources_dead(a->members());
   ism_->stop();
 #if PRISM_OBS_ENABLED
   if (sampler_) sampler_->stop();
@@ -198,81 +270,198 @@ Lis& IntegratedEnvironment::lis(std::uint32_t node) {
   return *lises_[node];
 }
 
+void IntegratedEnvironment::check_shard(std::uint32_t shard) const {
+  if (shard >= aggregators_.size())
+    throw std::out_of_range("IntegratedEnvironment: bad shard");
+}
+
+AggregatorIsm& IntegratedEnvironment::aggregator(std::uint32_t shard) {
+  check_shard(shard);
+  return *aggregators_[shard];
+}
+
+TransferProtocol& IntegratedEnvironment::cluster_tp(std::uint32_t shard) {
+  check_shard(shard);
+  return *cluster_tps_[shard];
+}
+
+const ShardRouter& IntegratedEnvironment::router() const {
+  if (!router_)
+    throw std::out_of_range("IntegratedEnvironment: flat, no shard router");
+  return *router_;
+}
+
+std::uint32_t IntegratedEnvironment::shard_of(std::uint32_t node) const {
+  if (node >= lises_.size())
+    throw std::out_of_range("IntegratedEnvironment: bad node");
+  return router().shard_for(node);
+}
+
+const std::vector<std::uint32_t>& IntegratedEnvironment::shard_members(
+    std::uint32_t shard) const {
+  check_shard(shard);
+  return aggregators_[shard]->members();
+}
+
+AggregatorStats IntegratedEnvironment::aggregator_stats(
+    std::uint32_t shard) const {
+  check_shard(shard);
+  return aggregators_[shard]->stats();
+}
+
 void IntegratedEnvironment::flush_all() {
   for (auto& l : lises_) l->flush();
 }
 
 LisStats IntegratedEnvironment::total_lis_stats() const {
   LisStats total;
-  for (const auto& l : lises_) {
-    const LisStats s = l->stats();
-    total.recorded += s.recorded;
-    total.dropped += s.dropped;
-    total.flushes += s.flushes;
-    total.records_forwarded += s.records_forwarded;
-    total.flush_time_ns += s.flush_time_ns;
-    total.buffered += s.buffered;
-    total.lost_send += s.lost_send;
-    total.lost_dead += s.lost_dead;
-  }
+  for (const auto& l : lises_) total += l->stats();
+  return total;
+}
+
+LisStats IntegratedEnvironment::shard_lis_stats(std::uint32_t shard) const {
+  check_shard(shard);
+  LisStats total;
+  for (const std::uint32_t n : aggregators_[shard]->members())
+    total += lises_[n]->stats();
   return total;
 }
 
 void IntegratedEnvironment::set_observer(obs::PipelineObserver* o) {
   for (auto& l : lises_) l->set_observer(o);
-  ism_->set_observer(o);
+  for (auto& a : aggregators_) a->set_observer(o);
+  for (auto& tp : cluster_tps_) tp->set_observer(o);
   tp_->set_observer(o);
+  ism_->set_observer(o);
 }
 
 void IntegratedEnvironment::set_fault(fault::FaultInjector* f,
                                       fault::RetryPolicy retry) {
   for (auto& l : lises_) l->set_fault(f, retry);
-  ism_->set_fault(f);
+  for (auto& a : aggregators_) a->set_fault(f, retry);
+  for (auto& tp : cluster_tps_) tp->set_fault(f, retry);
   tp_->set_fault(f, retry);
+  ism_->set_fault(f);
+}
+
+// ---- the roll-up ------------------------------------------------------------
+//
+// The read ordering is the whole trick (StageHealth's contract): every row's
+// completed counter, then its losses, are read before its admitted counter,
+// so a record in completed/lost at read time is always already in admitted
+// and the derived in_flight residue is non-negative in every sample.  One
+// root-down pass gives every row that order: the root ISM (completions of
+// the ism, uplink and pipeline rows), the root TP's wire losses, each
+// shard's aggregator ledger (one consistent snapshot: the agg row; the
+// completions of the wire row; the admissions of the uplink row) and its
+// cluster TP's wire losses, then each LIS (losses, then admissions, under
+// one lock per buffered or forwarding LIS).  The daemon LIS admits a benign
+// inversion (its daemon can forward a piped record before the app thread
+// counts it recorded), which latches StageHealth::torn instead of
+// fabricating a negative residue.
+
+struct IntegratedEnvironment::Reading {
+  IsmStats root;
+  std::uint64_t agg_received = 0;
+  std::uint64_t agg_forwarded = 0;
+  std::uint64_t agg_lost = 0;  ///< lost_uplink + lost_dead
+  LisStats lis;
+  /// Wire losses under the LISes (cluster TPs, or the root TP when flat)
+  /// and on the root-bound uplink (federated only).
+  std::uint64_t lis_wire_lost = 0;
+  std::uint64_t uplink_wire_lost = 0;
+  DegradationReport deg;  ///< records_lost_wire filled by the caller
+};
+
+void IntegratedEnvironment::read_shard(Reading& r, std::uint32_t s) const {
+  const AggregatorStats as = aggregators_[s]->stats();
+  if (aggregators_[s]->dead()) ++r.deg.shards_dead;
+  r.agg_received += as.records_received;
+  r.agg_forwarded += as.records_forwarded;
+  r.agg_lost += as.lost_uplink + as.lost_dead;
+  r.deg.records_lost_uplink += as.lost_uplink;
+  r.deg.records_lost_agg += as.lost_dead;
+  r.deg.holdback_expired += as.expired_released;
+  r.deg.control_dropped += cluster_tps_[s]->control_dropped_total();
+  r.lis_wire_lost += cluster_tps_[s]->wire_records_lost();
+}
+
+void IntegratedEnvironment::read_lis(Reading& r, const Lis& l) {
+  if (l.dead()) ++r.deg.lises_dead;
+  const LisStats s = l.stats();
+  r.lis += s;
+  r.deg.records_lost_send += s.lost_send;
+  r.deg.records_lost_dead += s.lost_dead;
+}
+
+IntegratedEnvironment::Reading IntegratedEnvironment::read_levels() const {
+  Reading r;
+  r.root = ism_->stats();
+  r.deg.tools_failed = r.root.tools_failed;
+  r.deg.holdback_expired = r.root.expired_released;
+  r.deg.control_dropped = tp_->control_dropped_total();
+  (aggregators_.empty() ? r.lis_wire_lost : r.uplink_wire_lost) =
+      tp_->wire_records_lost();
+  for (std::uint32_t s = 0; s < aggregators_.size(); ++s) read_shard(r, s);
+  for (const auto& l : lises_) read_lis(r, *l);
+  r.deg.records_lost_wire = r.lis_wire_lost + r.uplink_wire_lost;
+  return r;
+}
+
+DegradationReport IntegratedEnvironment::degradation() const {
+  return read_levels().deg;
+}
+
+DegradationReport IntegratedEnvironment::shard_degradation(
+    std::uint32_t shard) const {
+  check_shard(shard);
+  Reading r;
+  read_shard(r, shard);
+  for (const std::uint32_t n : aggregators_[shard]->members())
+    read_lis(r, *lises_[n]);
+  r.deg.records_lost_wire = r.lis_wire_lost;
+  return r.deg;
 }
 
 #if PRISM_OBS_ENABLED
 
-// The read ordering here is the whole trick (StageHealth's contract): for
-// each stage row, the counters that can only grow *after* admission —
-// completed, then losses — are read before the admitted counter, so a
-// record in completed/lost at read time is always already in admitted and
-// the derived in_flight residue is non-negative in every sample.  Buffered
-// and forwarding LISes update their stats under one mutex (internally
-// consistent per read); the daemon LIS admits a benign inversion (its
-// daemon can forward a piped record before the app thread counts it
-// recorded), which latches StageHealth::torn instead of fabricating a
-// negative residue.
 void IntegratedEnvironment::collect_health(
     obs::live::HealthSnapshot& snap) const {
-  // 1. Downstream completions first.
-  const IsmStats ism = ism_->stats();
-  // 2. Losses second.
-  const bool wire = tp_->socket_backend_enabled() || tp_->shm_backend_enabled();
-  const std::uint64_t wire_lost = tp_->wire_records_lost();
-  const std::uint64_t control_dropped = tp_->control_dropped_total();
-  std::uint32_t lises_dead = 0;
-  for (const auto& l : lises_)
-    if (l->dead()) ++lises_dead;
-  // 3. Admission counters last (one consistent per-LIS pass).
-  const LisStats lis = total_lis_stats();
+  const Reading r = read_levels();
+  const LisStats& lis = r.lis;
+  const DegradationReport& d = r.deg;
+  const bool federated = !aggregators_.empty();
+  // The TP the LISes send on: every cluster TP shares one flavor.
+  const TransferProtocol& lis_tp = federated ? *cluster_tps_.front() : *tp_;
 
   snap.add_stage("lis", lis.recorded, lis.records_forwarded,
                  lis.lost_send + lis.lost_dead, lis.dropped);
-  if (wire)
-    snap.add_stage("wire", lis.records_forwarded, ism.records_received,
-                   wire_lost);
-  snap.add_stage("ism", ism.records_received, ism.records_dispatched, 0);
-  snap.add_stage("pipeline", lis.recorded, ism.records_dispatched,
-                 lis.lost_send + lis.lost_dead + wire_lost, lis.dropped);
+  if (lis_tp.backend_enabled())
+    snap.add_stage("wire", lis.records_forwarded,
+                   federated ? r.agg_received : r.root.records_received,
+                   r.lis_wire_lost);
+  if (federated) {
+    snap.add_stage("agg", r.agg_received, r.agg_forwarded, r.agg_lost);
+    if (tp_->backend_enabled())
+      snap.add_stage("uplink", r.agg_forwarded, r.root.records_received,
+                     r.uplink_wire_lost);
+  }
+  snap.add_stage("ism", r.root.records_received, r.root.records_dispatched, 0);
+  snap.add_stage("pipeline", lis.recorded, r.root.records_dispatched,
+                 lis.lost_send + lis.lost_dead + d.records_lost_wire +
+                     r.agg_lost,
+                 lis.dropped);
 
-  snap.lises_dead = lises_dead;
-  snap.tools_failed = ism.tools_failed;
-  snap.records_lost_send = lis.lost_send;
-  snap.records_lost_dead = lis.lost_dead;
-  snap.records_lost_wire = wire_lost;
-  snap.control_dropped = control_dropped;
-  snap.holdback_expired = ism.expired_released;
+  snap.lises_dead = d.lises_dead;
+  snap.tools_failed = d.tools_failed;
+  snap.records_lost_send = d.records_lost_send;
+  snap.records_lost_dead = d.records_lost_dead;
+  snap.records_lost_wire = d.records_lost_wire;
+  snap.control_dropped = d.control_dropped;
+  snap.holdback_expired = d.holdback_expired;
+  snap.shards_dead = d.shards_dead;
+  snap.records_lost_uplink = d.records_lost_uplink;
+  snap.records_lost_agg = d.records_lost_agg;
 }
 
 std::string IntegratedEnvironment::telemetry_address() const {
@@ -280,22 +469,6 @@ std::string IntegratedEnvironment::telemetry_address() const {
 }
 
 #endif  // PRISM_OBS_ENABLED
-
-DegradationReport IntegratedEnvironment::degradation() const {
-  DegradationReport d;
-  for (const auto& l : lises_) {
-    if (l->dead()) ++d.lises_dead;
-    const LisStats s = l->stats();
-    d.records_lost_send += s.lost_send;
-    d.records_lost_dead += s.lost_dead;
-  }
-  const IsmStats is = ism_->stats();
-  d.tools_failed = is.tools_failed;
-  d.holdback_expired = is.expired_released;
-  d.control_dropped = tp_->control_dropped_total();
-  d.records_lost_wire = tp_->wire_records_lost();
-  return d;
-}
 
 std::string DegradationReport::to_string() const {
   std::ostringstream os;

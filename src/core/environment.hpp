@@ -6,12 +6,16 @@
 // analyses of the same parallel program ... Clearly, the IS plays a central
 // role in integration."
 //
-// IntegratedEnvironment wires a per-node LIS array, a TransferProtocol, an
-// Ism, and any number of tools, with a single start/stop lifecycle.  The LIS
-// style, ISM input configuration, buffer capacities, flush policy and
-// sampling period are all configuration — this is the "configurable testbed"
-// role the paper assigns to Vista's P'RISM (§3.3), generalized to all three
-// LIS styles.
+// IntegratedEnvironment wires a per-node LIS array, zero or more aggregator
+// levels, a root TransferProtocol and a root Ism, and any number of tools,
+// with a single start/stop lifecycle.  The pipeline is a tree of uniform
+// stages: with federation.shards == 0 it has no aggregator level and the
+// LISes send on the root TP (the flat IS of Fig. 3); with shards >= 1 the
+// LISes send on per-cluster TPs to AggregatorIsms that forward to the root
+// (DESIGN.md §16).  The LIS style, ISM input configuration, buffer
+// capacities, flush policy and sampling period are all configuration — this
+// is the "configurable testbed" role the paper assigns to Vista's P'RISM
+// (§3.3), generalized to all three LIS styles.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +41,10 @@ class TelemetryServer;
 #endif
 
 namespace prism::core {
+
+class AggregatorIsm;    // federation.hpp
+struct AggregatorStats;
+class ShardRouter;
 
 /// Which LIS implementation each node runs.
 enum class LisStyle : std::uint8_t {
@@ -79,7 +87,7 @@ std::string_view to_string(ShardAssign a);
 /// consume their cluster's LIS streams, causally pre-reduce them, and
 /// forward re-batched record lineages over the root transport to a root ISM
 /// that performs the global gap-tolerant merge.  shards == 0 leaves the IS
-/// flat (the classic single-ISM IntegratedEnvironment topology).
+/// flat: zero aggregator levels, the LISes send on the root TP.
 struct FederationOptions {
   /// Number of aggregator shards.  0 = flat (no federation); >= 1 builds
   /// the two-level topology (1 shard is a valid degenerate federation — the
@@ -128,14 +136,13 @@ struct EnvironmentConfig {
   /// PRISM_OBS build when mode != kOff; start() throws otherwise rather than
   /// silently serving nothing.
   TelemetryOptions telemetry;
-  /// Two-level ISM federation (DESIGN.md §16).  Ignored by
-  /// IntegratedEnvironment (the flat topology); FederatedEnvironment
-  /// requires federation.shards >= 1.
+  /// ISM federation (DESIGN.md §16): federation.shards aggregator shards
+  /// between the LISes and the root ISM, or none (0, the flat topology).
+  /// FederatedEnvironment additionally requires shards >= 1.
   FederationOptions federation;
 };
 
-/// Builds the FlushPolicy the configuration names (shared by the flat and
-/// federated environments).
+/// Builds the FlushPolicy the configuration names (one per buffered LIS).
 std::unique_ptr<class FlushPolicy> make_flush_policy(
     const EnvironmentConfig& cfg);
 
@@ -182,14 +189,18 @@ class IntegratedEnvironment {
   IntegratedEnvironment(const IntegratedEnvironment&) = delete;
   IntegratedEnvironment& operator=(const IntegratedEnvironment&) = delete;
 
-  /// Must be called before start().
+  /// Attaches a tool to the root ISM.  Must be called before start().
   void attach_tool(std::shared_ptr<Tool> tool);
 
   void start();
-  /// Stops LISes (flushing), then the ISM (draining), then finishes tools.
+  /// Stops LISes (flushing), rolls dead sources up through the aggregator
+  /// level to the root, stops the aggregators (draining + final uplink
+  /// flush), expires dead shards at the root, then stops the root ISM
+  /// (draining) and finishes tools.
   void stop();
 
   Lis& lis(std::uint32_t node);
+  /// The root ISM and its TP (the only ones when flat).
   Ism& ism() { return *ism_; }
   TransferProtocol& tp() { return *tp_; }
   /// Dynamic-instrumentation registry: register application probes here and
@@ -211,20 +222,38 @@ class IntegratedEnvironment {
   /// Aggregated LIS statistics across nodes.
   LisStats total_lis_stats() const;
 
-  /// Attaches one model-time observability sink to every LIS and the ISM
-  /// (may be null to detach).  Call before start(); the LISes are the
-  /// pipeline's capture points.
+  /// Aggregator shards (0 when flat).  Every shard accessor below throws
+  /// std::out_of_range on a flat environment.
+  std::uint32_t shards() const {
+    return static_cast<std::uint32_t>(aggregators_.size());
+  }
+  AggregatorIsm& aggregator(std::uint32_t shard);
+  TransferProtocol& cluster_tp(std::uint32_t shard);
+  const ShardRouter& router() const;
+  std::uint32_t shard_of(std::uint32_t node) const;
+  const std::vector<std::uint32_t>& shard_members(std::uint32_t shard) const;
+  LisStats shard_lis_stats(std::uint32_t shard) const;
+  AggregatorStats aggregator_stats(std::uint32_t shard) const;
+  /// One shard's slice of the degradation report (its member LISes, its
+  /// cluster wire, its aggregator's uplink/death ledger).
+  DegradationReport shard_degradation(std::uint32_t shard) const;
+
+  /// Attaches one model-time observability sink to every LIS, aggregator,
+  /// TP and the root ISM (may be null to detach).  Call before start(); the
+  /// LISes are the pipeline's capture points.
   void set_observer(obs::PipelineObserver* o);
 
-  /// Attaches one fault plane to every LIS, the ISM and the TP control path
+  /// Attaches one fault plane to every LIS, aggregator, TP and the root ISM
   /// (may be null to detach; null is the default and leaves behavior
   /// bit-identical).  Call before start().
   void set_fault(fault::FaultInjector* f, fault::RetryPolicy retry = {});
 
-  /// Partial-result accounting after (or during) a chaotic run: which
-  /// components died and where records went.  stop() drains what remains
-  /// reachable first, so completed work is delivered even when parts of the
-  /// IS died mid-run.
+  /// Partial-result accounting after (or during) a chaotic run, rolled up
+  /// over every level: which components died and where records went (LIS
+  /// losses, wire losses at both levels, the federation-boundary uplink
+  /// site, dead shards, hold-back expiry at the aggregators and the root).
+  /// stop() drains what remains reachable first, so completed work is
+  /// delivered even when parts of the IS died mid-run.
   DegradationReport degradation() const;
 
   /// How this environment classifies along the §2.4 dimensions.
@@ -232,12 +261,14 @@ class IntegratedEnvironment {
 
 #if PRISM_OBS_ENABLED
   /// Fills the pipeline-specific snapshot fields: stage conservation rows
-  /// ("lis", "wire" when a real data plane is up, "ism", "pipeline") and the
-  /// DegradationReport mirror.  Counters are read in completed → losses →
-  /// admitted order so the per-stage identity admitted == completed + lost +
-  /// in_flight holds in every sample (see StageHealth).  Safe to call from
-  /// any thread while the pipeline runs; the sampler's Collector is exactly
-  /// this method.
+  /// ("lis"; "wire" when the LISes' TP has a real data plane; "agg" and,
+  /// when the root TP has a real data plane, "uplink" on a federated
+  /// environment; "ism"; "pipeline") and the DegradationReport mirror.
+  /// Counters are read level by level from the root down, so each row's
+  /// completed and lost counters are read before its admitted counter and
+  /// the identity admitted == completed + lost + in_flight holds in every
+  /// sample (see StageHealth).  Safe to call from any thread while the
+  /// pipeline runs; the sampler's Collector is exactly this method.
   void collect_health(obs::live::HealthSnapshot& snap) const;
 
   /// Non-null between start() and destruction when telemetry is on.
@@ -248,12 +279,30 @@ class IntegratedEnvironment {
 #endif
 
  private:
+  /// Counters of some part of the pipeline, read root-down (defined in
+  /// environment.cpp).
+  struct Reading;
+
+  /// The one place a LisStyle becomes a Lis: node `node` sending on link
+  /// `local` of `tp`.
+  std::unique_ptr<Lis> make_lis(std::uint32_t node, TransferProtocol& tp,
+                                std::uint32_t local);
+  /// Throws std::out_of_range unless `shard` names an aggregator.
+  void check_shard(std::uint32_t shard) const;
+  /// Every level, root first, LIS admissions last.
+  Reading read_levels() const;
+  void read_shard(Reading& r, std::uint32_t shard) const;
+  static void read_lis(Reading& r, const Lis& l);
+
   EnvironmentConfig config_;
-  std::unique_ptr<TransferProtocol> tp_;
+  std::unique_ptr<ShardRouter> router_;   ///< null when flat
+  std::unique_ptr<TransferProtocol> tp_;  ///< root level
   std::unique_ptr<Ism> ism_;
+  std::vector<std::unique_ptr<TransferProtocol>> cluster_tps_;
+  std::vector<std::unique_ptr<AggregatorIsm>> aggregators_;
   FlushCoordinator coordinator_;
   ProbeRegistry probe_registry_;
-  std::vector<std::unique_ptr<Lis>> lises_;
+  std::vector<std::unique_ptr<Lis>> lises_;  ///< indexed by global node id
   bool started_ = false;
   bool stopped_ = false;
 #if PRISM_OBS_ENABLED

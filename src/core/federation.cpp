@@ -1,7 +1,6 @@
 #include "core/federation.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "core/clock.hpp"
@@ -137,41 +136,12 @@ void AggregatorIsm::processor_main() {
   }
   staging_ = BatchArena::instance().acquire_reserved(batch_records_);
 
-  const std::size_t n_links = tp_.data_link_count();
-  if (n_links == 1) {
-    // SISO cluster: block on the single input link.
-    while (auto msg = tp_.receive_link(0).pop()) {
-      if (auto* batch = std::get_if<DataBatch>(&*msg))
-        consume_batch(std::move(*batch));
-      if (dead_.load(std::memory_order_relaxed) && !death_finalized_)
-        finalize_death();
-    }
-  } else {
-    // MISO cluster: round-robin over the per-member links (Ism's loop).
-    std::size_t idle_spins = 0;
-    for (;;) {
-      bool any = false;
-      bool all_done = true;
-      for (std::size_t i = 0; i < n_links; ++i) {
-        auto& link = tp_.receive_link(i);
-        if (!link.closed() || link.size() > 0) all_done = false;
-        if (auto msg = link.try_pop()) {
-          any = true;
-          if (auto* batch = std::get_if<DataBatch>(&*msg))
-            consume_batch(std::move(*batch));
-        }
-      }
-      if (dead_.load(std::memory_order_relaxed) && !death_finalized_)
-        finalize_death();
-      if (all_done) break;
-      if (!any) {
-        if (++idle_spins > 64)
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-      } else {
-        idle_spins = 0;
-      }
-    }
-  }
+  tp_.drain_receive_links([this](Message& msg) {
+    if (auto* batch = std::get_if<DataBatch>(&msg))
+      consume_batch(std::move(*batch));
+    if (dead_.load(std::memory_order_relaxed) && !death_finalized_)
+      finalize_death();
+  });
 
   // Cluster input exhausted.
   if (!dead_.load(std::memory_order_relaxed)) {
@@ -334,22 +304,30 @@ void AggregatorIsm::ship() {
   }
 
   b.t_sent_ns = now_ns();
-  if (uplink_.push(std::move(b))) {
+  // Counted forwarded before the push makes the batch visible to the root:
+  // a root that has counted a record received must never read a shard
+  // total without it (the health collector reads the root first, so the
+  // uplink row would tear).  A failed push takes the count back.
+  {
     std::lock_guard lk(mu_);
     ++stats_.batches_forwarded;
     stats_.records_forwarded += n;
+  }
+  if (uplink_.push(std::move(b))) {
     PRISM_OBS_COUNT_N("core.agg.records_forwarded", n);
-  } else {
-    // Root-bound link already closed — same boundary loss site.
-    {
-      std::lock_guard lk(mu_);
-      stats_.lost_uplink += n;
-    }
-    if (observer_) {
-      const auto t = static_cast<double>(now_ns());
-      for (const auto k : keys_scratch_)
-        observer_->lineage.lose(k, obs::LossSite::kAggUplink, t);
-    }
+    return;
+  }
+  // Root-bound link already closed — same boundary loss site.
+  {
+    std::lock_guard lk(mu_);
+    --stats_.batches_forwarded;
+    stats_.records_forwarded -= n;
+    stats_.lost_uplink += n;
+  }
+  if (observer_) {
+    const auto t = static_cast<double>(now_ns());
+    for (const auto k : keys_scratch_)
+      observer_->lineage.lose(k, obs::LossSite::kAggUplink, t);
   }
 }
 
@@ -397,267 +375,17 @@ AggregatorStats AggregatorIsm::stats() const {
 
 namespace {
 
-const EnvironmentConfig& validate_federated(const EnvironmentConfig& cfg) {
-  if (cfg.nodes == 0)
-    throw std::invalid_argument("FederatedEnvironment: 0 nodes");
+EnvironmentConfig require_shards(EnvironmentConfig cfg) {
   if (!cfg.federation.enabled())
     throw std::invalid_argument(
         "FederatedEnvironment: federation.shards must be >= 1 "
-        "(shards == 0 is the flat IntegratedEnvironment topology)");
-  if (cfg.federation.agg_batch_records == 0)
-    throw std::invalid_argument(
-        "FederatedEnvironment: agg_batch_records must be > 0");
-  if (cfg.telemetry.mode != TelemetryMode::kOff)
-    throw std::invalid_argument(
-        "FederatedEnvironment: telemetry is only wired to the flat topology");
+        "(shards == 0 is the flat topology)");
   return cfg;
-}
-
-void accumulate(LisStats& total, const LisStats& s) {
-  total.recorded += s.recorded;
-  total.dropped += s.dropped;
-  total.flushes += s.flushes;
-  total.records_forwarded += s.records_forwarded;
-  total.flush_time_ns += s.flush_time_ns;
-  total.buffered += s.buffered;
-  total.lost_send += s.lost_send;
-  total.lost_dead += s.lost_dead;
 }
 
 }  // namespace
 
 FederatedEnvironment::FederatedEnvironment(EnvironmentConfig config)
-    : config_(validate_federated(config)),
-      router_(config_.federation.shards, config_.federation.virtual_nodes,
-              config_.federation.assign) {
-  // Partition the nodes into clusters.  A shard's member list is in global
-  // node order, and a node's cluster-local index is its position in it.
-  members_.resize(router_.shards());
-  node_shard_.resize(config_.nodes);
-  node_local_.resize(config_.nodes);
-  for (std::uint32_t n = 0; n < config_.nodes; ++n) {
-    const std::uint32_t s = router_.shard_for(n);
-    node_shard_[n] = s;
-    node_local_[n] = static_cast<std::uint32_t>(members_[s].size());
-    members_[s].push_back(n);
-  }
-
-  // Root level: one data link per shard (MISO across shards), over its own
-  // transport flavor.  Aggregators are the "nodes" of this TP.
-  const TpFlavor root_flavor =
-      config_.federation.root_tp.value_or(config_.tp_flavor);
-  const std::uint32_t shards = router_.shards();
-  root_tp_ = std::make_unique<TransferProtocol>(
-      root_flavor, shards, shards, config_.link_capacity);
-  root_tp_->enable_backend(config_.socket, config_.shm);
-  IsmConfig root_cfg = config_.ism;
-  root_cfg.input = shards == 1 ? InputConfig::kSiso : InputConfig::kMiso;
-  root_ism_ = std::make_unique<Ism>(*root_tp_, root_cfg);
-
-  // Cluster level: one TP + aggregator per shard, LISes wired to their
-  // cluster-local links.  Consistent hashing can leave a shard empty; the
-  // TP still needs one node slot, and the idle aggregator just drains
-  // nothing.
-  cluster_tps_.reserve(shards);
-  aggregators_.reserve(shards);
-  lises_.resize(config_.nodes);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    const auto& m = members_[s];
-    const std::size_t cluster_nodes = std::max<std::size_t>(1, m.size());
-    const std::size_t data_links =
-        config_.ism.input == InputConfig::kSiso ? 1 : cluster_nodes;
-    auto tp = std::make_unique<TransferProtocol>(
-        config_.tp_flavor, cluster_nodes, data_links, config_.link_capacity);
-    tp->enable_backend(config_.socket, config_.shm);
-    for (std::uint32_t i = 0; i < m.size(); ++i) {
-      const std::uint32_t node = m[i];
-      // LISes keep their *global* node id (record routing, fault lanes,
-      // causal streams) but send on their cluster-local link.
-      switch (config_.lis_style) {
-        case LisStyle::kBuffered:
-          lises_[node] = std::make_unique<BufferedLis>(
-              node, config_.local_buffer_capacity, make_flush_policy(config_),
-              tp->data_link_for(i),
-              config_.flush_policy == FlushPolicyKind::kFaof ? &coordinator_
-                                                             : nullptr);
-          break;
-        case LisStyle::kForwarding:
-          lises_[node] =
-              std::make_unique<ForwardingLis>(node, tp->data_link_for(i));
-          break;
-        case LisStyle::kDaemon:
-          lises_[node] = std::make_unique<DaemonLis>(
-              node, config_.processes_per_node, config_.pipe_capacity,
-              config_.sampling_period_ns, tp->data_link_for(i),
-              &tp->control_link(i), config_.daemon_blocks_app_on_full_pipe,
-              &probe_registry_);
-          break;
-      }
-    }
-    aggregators_.push_back(std::make_unique<AggregatorIsm>(
-        s, *tp, root_tp_->data_link(s), m,
-        config_.federation.agg_batch_records, config_.ism.causal_ordering));
-    cluster_tps_.push_back(std::move(tp));
-  }
-}
-
-FederatedEnvironment::~FederatedEnvironment() {
-  try {
-    stop();
-  } catch (...) {
-    // Shutdown must not throw from a destructor.
-  }
-}
-
-void FederatedEnvironment::attach_tool(std::shared_ptr<Tool> tool) {
-  root_ism_->attach_tool(std::move(tool));
-}
-
-void FederatedEnvironment::start() {
-  if (started_) return;
-  started_ = true;
-  root_ism_->start();
-  for (auto& a : aggregators_) a->start();
-}
-
-void FederatedEnvironment::stop() {
-  if (!started_ || stopped_) return;
-  stopped_ = true;
-  for (auto& l : lises_) l->stop();
-  // Graceful degradation rolls up the levels: a dead LIS must stop being
-  // waited for both at its shard's pre-reducer and at the root merge.
-  for (std::uint32_t n = 0; n < lises_.size(); ++n) {
-    if (!lises_[n]->dead()) continue;
-    aggregators_[node_shard_[n]]->mark_source_dead(n);
-    root_ism_->mark_source_dead(n);
-  }
-  for (auto& a : aggregators_) a->stop();
-  // A dead aggregator takes its whole cluster's remaining stream with it:
-  // the root expires the shard as a group, so holds between two of its
-  // members resolve instead of stranding.
-  for (auto& a : aggregators_)
-    if (a->dead()) root_ism_->mark_sources_dead(a->members());
-  root_ism_->stop();
-}
-
-Lis& FederatedEnvironment::lis(std::uint32_t node) {
-  if (node >= lises_.size())
-    throw std::out_of_range("FederatedEnvironment: bad node");
-  return *lises_[node];
-}
-
-AggregatorIsm& FederatedEnvironment::aggregator(std::uint32_t shard) {
-  if (shard >= aggregators_.size())
-    throw std::out_of_range("FederatedEnvironment: bad shard");
-  return *aggregators_[shard];
-}
-
-TransferProtocol& FederatedEnvironment::cluster_tp(std::uint32_t shard) {
-  if (shard >= cluster_tps_.size())
-    throw std::out_of_range("FederatedEnvironment: bad shard");
-  return *cluster_tps_[shard];
-}
-
-std::uint32_t FederatedEnvironment::shard_of(std::uint32_t node) const {
-  if (node >= node_shard_.size())
-    throw std::out_of_range("FederatedEnvironment: bad node");
-  return node_shard_[node];
-}
-
-const std::vector<std::uint32_t>& FederatedEnvironment::shard_members(
-    std::uint32_t shard) const {
-  if (shard >= members_.size())
-    throw std::out_of_range("FederatedEnvironment: bad shard");
-  return members_[shard];
-}
-
-void FederatedEnvironment::flush_all() {
-  for (auto& l : lises_) l->flush();
-}
-
-LisStats FederatedEnvironment::total_lis_stats() const {
-  LisStats total;
-  for (const auto& l : lises_) accumulate(total, l->stats());
-  return total;
-}
-
-LisStats FederatedEnvironment::shard_lis_stats(std::uint32_t shard) const {
-  if (shard >= members_.size())
-    throw std::out_of_range("FederatedEnvironment: bad shard");
-  LisStats total;
-  for (const std::uint32_t n : members_[shard])
-    accumulate(total, lises_[n]->stats());
-  return total;
-}
-
-AggregatorStats FederatedEnvironment::aggregator_stats(
-    std::uint32_t shard) const {
-  if (shard >= aggregators_.size())
-    throw std::out_of_range("FederatedEnvironment: bad shard");
-  return aggregators_[shard]->stats();
-}
-
-DegradationReport FederatedEnvironment::degradation() const {
-  DegradationReport d;
-  for (const auto& l : lises_) {
-    if (l->dead()) ++d.lises_dead;
-    const LisStats s = l->stats();
-    d.records_lost_send += s.lost_send;
-    d.records_lost_dead += s.lost_dead;
-  }
-  for (std::uint32_t s = 0; s < aggregators_.size(); ++s) {
-    const AggregatorStats as = aggregators_[s]->stats();
-    if (aggregators_[s]->dead()) ++d.shards_dead;
-    d.records_lost_uplink += as.lost_uplink;
-    d.records_lost_agg += as.lost_dead;
-    d.holdback_expired += as.expired_released;
-    d.control_dropped += cluster_tps_[s]->control_dropped_total();
-    d.records_lost_wire += cluster_tps_[s]->wire_records_lost();
-  }
-  const IsmStats is = root_ism_->stats();
-  d.tools_failed = is.tools_failed;
-  d.holdback_expired += is.expired_released;
-  d.control_dropped += root_tp_->control_dropped_total();
-  d.records_lost_wire += root_tp_->wire_records_lost();
-  return d;
-}
-
-DegradationReport FederatedEnvironment::shard_degradation(
-    std::uint32_t shard) const {
-  if (shard >= aggregators_.size())
-    throw std::out_of_range("FederatedEnvironment: bad shard");
-  DegradationReport d;
-  for (const std::uint32_t n : members_[shard]) {
-    if (lises_[n]->dead()) ++d.lises_dead;
-    const LisStats s = lises_[n]->stats();
-    d.records_lost_send += s.lost_send;
-    d.records_lost_dead += s.lost_dead;
-  }
-  const AggregatorStats as = aggregators_[shard]->stats();
-  if (aggregators_[shard]->dead()) ++d.shards_dead;
-  d.records_lost_uplink += as.lost_uplink;
-  d.records_lost_agg += as.lost_dead;
-  d.holdback_expired = as.expired_released;
-  d.control_dropped = cluster_tps_[shard]->control_dropped_total();
-  d.records_lost_wire = cluster_tps_[shard]->wire_records_lost();
-  return d;
-}
-
-void FederatedEnvironment::set_observer(obs::PipelineObserver* o) {
-  for (auto& l : lises_) l->set_observer(o);
-  for (auto& a : aggregators_) a->set_observer(o);
-  for (auto& tp : cluster_tps_) tp->set_observer(o);
-  root_tp_->set_observer(o);
-  root_ism_->set_observer(o);
-}
-
-void FederatedEnvironment::set_fault(fault::FaultInjector* f,
-                                     fault::RetryPolicy retry) {
-  for (auto& l : lises_) l->set_fault(f, retry);
-  for (auto& a : aggregators_) a->set_fault(f, retry);
-  for (auto& tp : cluster_tps_) tp->set_fault(f, retry);
-  root_tp_->set_fault(f, retry);
-  root_ism_->set_fault(f);
-}
+    : IntegratedEnvironment(require_shards(std::move(config))) {}
 
 }  // namespace prism::core

@@ -23,6 +23,9 @@
 //     global gap-tolerant merge; a dead aggregator expires as a whole
 //     shard (CausalReorderer::expire_nodes).
 //
+// IntegratedEnvironment wires this tree whenever federation.shards >= 1;
+// the flat IS is the same tree with zero aggregator levels.
+//
 // Conservation is exact at every level and attributed exactly once:
 //   LIS:        recorded == forwarded + dropped + buffered + lost_send
 //               + lost_dead
@@ -76,7 +79,9 @@ struct AggregatorStats {
   std::uint64_t batches_received = 0;
   std::uint64_t records_received = 0;
   std::uint64_t batches_forwarded = 0;   ///< uplink batches delivered
-  std::uint64_t records_forwarded = 0;   ///< records delivered root-ward
+  /// Records handed to the uplink.  Counted before the push makes them
+  /// visible to the root; a failed push moves them to lost_uplink.
+  std::uint64_t records_forwarded = 0;
   /// Forwarded by this shard but destroyed on the root-bound uplink
   /// (closed link or exhausted retries) — the federation-boundary loss
   /// site, charged here exactly once.
@@ -182,80 +187,18 @@ class AggregatorIsm {
   bool death_finalized_ = false;  ///< processor-thread-only
 };
 
-/// The two-level integrated environment: per-node LISes partitioned into
-/// clusters by a ShardRouter, one AggregatorIsm per cluster, and a root Ism
-/// merging the shard streams — the federation counterpart of
-/// IntegratedEnvironment, scaling the IS tier to hundreds-to-thousands of
-/// LIS nodes.  Requires config.federation.shards >= 1; both levels run real
-/// transports (cluster level: config.tp_flavor; root level:
-/// config.federation.root_tp, defaulting to the cluster flavor).
-class FederatedEnvironment {
+/// The federated face of IntegratedEnvironment: the same environment (one
+/// constructor, lifecycle, roll-up and telemetry for every topology),
+/// required to have an aggregator level — config.federation.shards >= 1.
+/// Both levels run real transports (cluster level: config.tp_flavor; root
+/// level: config.federation.root_tp, defaulting to the cluster flavor).
+class FederatedEnvironment final : public IntegratedEnvironment {
  public:
+  /// Throws std::invalid_argument when config.federation.shards == 0.
   explicit FederatedEnvironment(EnvironmentConfig config);
-  ~FederatedEnvironment();
-  FederatedEnvironment(const FederatedEnvironment&) = delete;
-  FederatedEnvironment& operator=(const FederatedEnvironment&) = delete;
 
-  /// Tools attach to the root ISM (before start()).
-  void attach_tool(std::shared_ptr<Tool> tool);
-
-  void start();
-  /// Stops LISes (flushing), then the aggregators (draining + final uplink
-  /// flush), expires dead shards at the root, then stops the root ISM.
-  void stop();
-
-  Lis& lis(std::uint32_t node);
-  Ism& root_ism() { return *root_ism_; }
-  AggregatorIsm& aggregator(std::uint32_t shard);
-  TransferProtocol& root_tp() { return *root_tp_; }
-  TransferProtocol& cluster_tp(std::uint32_t shard);
-  const ShardRouter& router() const { return router_; }
-  const EnvironmentConfig& config() const { return config_; }
-
-  std::uint32_t shards() const {
-    return static_cast<std::uint32_t>(aggregators_.size());
-  }
-  std::uint32_t shard_of(std::uint32_t node) const;
-  const std::vector<std::uint32_t>& shard_members(std::uint32_t shard) const;
-
-  /// Hot path: record an event through node `node`'s LIS.
-  void record(std::uint32_t node, const trace::EventRecord& r) {
-    lis(node).record(r);
-  }
-  void record(const trace::EventRecord& r) { lis(r.node).record(r); }
-
-  void flush_all();
-
-  LisStats total_lis_stats() const;
-  LisStats shard_lis_stats(std::uint32_t shard) const;
-  AggregatorStats aggregator_stats(std::uint32_t shard) const;
-
-  /// Federation-wide degradation roll-up: LIS-level losses, both levels'
-  /// wire losses, the federation-boundary uplink site, dead shards, and
-  /// hold-back expiry at both the aggregators and the root.
-  DegradationReport degradation() const;
-  /// One shard's slice of the report (its member LISes, its cluster wire,
-  /// its aggregator's uplink/death ledger).
-  DegradationReport shard_degradation(std::uint32_t shard) const;
-
-  void set_observer(obs::PipelineObserver* o);
-  void set_fault(fault::FaultInjector* f, fault::RetryPolicy retry = {});
-
- private:
-  EnvironmentConfig config_;
-  ShardRouter router_;
-  std::vector<std::vector<std::uint32_t>> members_;  ///< per-shard node ids
-  std::vector<std::uint32_t> node_shard_;            ///< node -> shard
-  std::vector<std::uint32_t> node_local_;            ///< node -> cluster idx
-  std::unique_ptr<TransferProtocol> root_tp_;
-  std::unique_ptr<Ism> root_ism_;
-  std::vector<std::unique_ptr<TransferProtocol>> cluster_tps_;
-  std::vector<std::unique_ptr<AggregatorIsm>> aggregators_;
-  FlushCoordinator coordinator_;
-  ProbeRegistry probe_registry_;
-  std::vector<std::unique_ptr<Lis>> lises_;  ///< indexed by global node id
-  bool started_ = false;
-  bool stopped_ = false;
+  Ism& root_ism() { return ism(); }
+  TransferProtocol& root_tp() { return tp(); }
 };
 
 }  // namespace prism::core

@@ -1,7 +1,6 @@
 #include "core/ism.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -99,55 +98,20 @@ void Ism::processor_main() {
 
   // The ISM consumes receive_link(): the data link itself for in-process
   // flavors, the socket backend's egress buffer when one is enabled.
-  const std::size_t n_links = tp_.data_link_count();
-  if (n_links == 1) {
-    // SISO: block on the single input buffer.
-    while (auto msg = tp_.receive_link(0).pop()) {
+  const bool siso = tp_.data_link_count() == 1;
+  tp_.drain_receive_links([&](Message& msg) {
+    if (siso)
       PRISM_OBS_GAUGE_SET("core.ism.input_depth", tp_.receive_link(0).size());
-      if (observer_)
-        tp_.sample_depths(&observer_->timeline,
-                          static_cast<double>(now_ns()));
-      if (auto* batch = std::get_if<DataBatch>(&*msg)) {
-        if (config_.causal_ordering) {
-          for (auto& r : batch->records)
-            arrival_ns.emplace(stream_seq_key(r), batch->t_sent_ns);
-        }
-        process_batch(std::move(*batch));
+    if (observer_)
+      tp_.sample_depths(&observer_->timeline, static_cast<double>(now_ns()));
+    if (auto* batch = std::get_if<DataBatch>(&msg)) {
+      if (config_.causal_ordering) {
+        for (auto& r : batch->records)
+          arrival_ns.emplace(stream_seq_key(r), batch->t_sent_ns);
       }
+      process_batch(std::move(*batch));
     }
-  } else {
-    // MISO: round-robin over the per-node input buffers.
-    std::size_t idle_spins = 0;
-    for (;;) {
-      bool any = false;
-      bool all_done = true;
-      for (std::size_t i = 0; i < n_links; ++i) {
-        auto& link = tp_.receive_link(i);
-        if (!link.closed() || link.size() > 0) all_done = false;
-        if (auto msg = link.try_pop()) {
-          any = true;
-          if (observer_)
-            tp_.sample_depths(&observer_->timeline,
-                              static_cast<double>(now_ns()));
-          if (auto* batch = std::get_if<DataBatch>(&*msg)) {
-            if (config_.causal_ordering) {
-              for (auto& r : batch->records)
-                arrival_ns.emplace(stream_seq_key(r), batch->t_sent_ns);
-            }
-            process_batch(std::move(*batch));
-          }
-        }
-      }
-      if (all_done) break;
-      if (!any) {
-        if (++idle_spins > 64) {
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-      } else {
-        idle_spins = 0;
-      }
-    }
-  }
+  });
   // Input exhausted.  First, stop waiting on dead sources: their sends will
   // never arrive, so receives held back on them are force-released (in
   // stream order) rather than stranded.  Whatever remains after expiry is

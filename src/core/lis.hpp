@@ -60,6 +60,19 @@ struct LisStats {
     return records_in() ==
            records_forwarded + dropped + buffered + lost_send + lost_dead;
   }
+
+  /// Field-wise sum (environment totals over nodes or shards).
+  LisStats& operator+=(const LisStats& o) {
+    recorded += o.recorded;
+    dropped += o.dropped;
+    flushes += o.flushes;
+    records_forwarded += o.records_forwarded;
+    flush_time_ns += o.flush_time_ns;
+    buffered += o.buffered;
+    lost_send += o.lost_send;
+    lost_dead += o.lost_dead;
+    return *this;
+  }
 };
 
 class Lis {

@@ -15,9 +15,11 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <thread>
 #include <variant>
 #include <vector>
 
@@ -203,6 +205,40 @@ class TransferProtocol {
   /// shm), else the data link itself.
   DataLink& receive_link(std::size_t index);
 
+  /// The receive loop of every ISM level (root Ism and AggregatorIsm):
+  /// hands each message of every receive_link() to `on_message(Message&)`
+  /// until all of them are closed and empty.  One link (SISO) blocks on it;
+  /// several (MISO) are polled round-robin, sleeping 100 us per pass once a
+  /// run of 64 passes found nothing.
+  template <class OnMessage>
+  void drain_receive_links(OnMessage&& on_message) {
+    const std::size_t n_links = data_link_count();
+    if (n_links == 1) {
+      DataLink& link = receive_link(0);
+      while (auto msg = link.pop()) on_message(*msg);
+      return;
+    }
+    std::size_t idle_spins = 0;
+    for (;;) {
+      bool any = false;
+      bool all_done = true;
+      for (std::size_t i = 0; i < n_links; ++i) {
+        DataLink& link = receive_link(i);
+        if (!link.closed() || link.size() > 0) all_done = false;
+        if (auto msg = link.try_pop()) {
+          any = true;
+          on_message(*msg);
+        }
+      }
+      if (all_done) return;
+      if (any) {
+        idle_spins = 0;
+      } else if (++idle_spins > 64) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+  }
+
   /// Socket-backend introspection (null / throws when not enabled).
   SocketTransport* socket_transport();
   SocketLink& socket_link(std::size_t index);
@@ -214,6 +250,8 @@ class TransferProtocol {
   /// Enables the real backend flavor() names (kSocket or kShm) with its
   /// options; a no-op for the in-process kPipe.
   void enable_backend(const SocketOptions& socket, const ShmOptions& shm);
+  /// True once a real data plane (socket or shm) carries the data links.
+  bool backend_enabled() const { return wire_ != nullptr; }
 
   /// Records destroyed and attributed on the enabled backend's wire (0
   /// without one).

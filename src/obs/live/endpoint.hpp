@@ -16,8 +16,9 @@
 //   * connection count is capped; excess accepts are closed immediately.
 //
 // The server knows nothing about telemetry: a ScrapeHandler callback maps a
-// path to (content type, body).  Wiring in IntegratedEnvironment points it
-// at the sampler/exposition/flight surfaces.  TCP binds 127.0.0.1 only —
+// path to (content type, body).  Wiring in IntegratedEnvironment (the one
+// environment, for the flat and the federated topology alike) points it at
+// the sampler/exposition/flight surfaces.  TCP binds 127.0.0.1 only —
 // this is an operator loopback port, not a network service.
 #pragma once
 

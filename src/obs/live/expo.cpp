@@ -182,6 +182,9 @@ std::string prometheus_exposition(const MetricsSnapshot& snap,
     degradation_row(out, "records_lost_wire", hs.records_lost_wire);
     degradation_row(out, "control_dropped", hs.control_dropped);
     degradation_row(out, "holdback_expired", hs.holdback_expired);
+    degradation_row(out, "shards_dead", hs.shards_dead);
+    degradation_row(out, "records_lost_uplink", hs.records_lost_uplink);
+    degradation_row(out, "records_lost_agg", hs.records_lost_agg);
 
     help_type(out, "prism_degraded", "1 when any degradation field is nonzero",
               "gauge");
@@ -247,6 +250,12 @@ std::string health_json(const HealthSnapshot& hs) {
   out += std::to_string(hs.control_dropped);
   out += ",\"holdback_expired\":";
   out += std::to_string(hs.holdback_expired);
+  out += ",\"shards_dead\":";
+  out += std::to_string(hs.shards_dead);
+  out += ",\"records_lost_uplink\":";
+  out += std::to_string(hs.records_lost_uplink);
+  out += ",\"records_lost_agg\":";
+  out += std::to_string(hs.records_lost_agg);
   out += "},\"alloc\":{\"count\":";
   out += std::to_string(hs.alloc_count);
   out += ",\"bytes\":";

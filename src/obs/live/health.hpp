@@ -30,7 +30,7 @@ namespace prism::obs::live {
 /// Bumped whenever HealthSnapshot's layout or field meaning changes, so a
 /// steering controller (or an external scraper of the JSON form) can reject
 /// snapshots it does not understand.
-inline constexpr std::uint32_t kHealthSnapshotVersion = 1;
+inline constexpr std::uint32_t kHealthSnapshotVersion = 2;
 
 /// Conservation ledger of one pipeline stage.  The identity
 ///   admitted == completed + lost + in_flight
@@ -74,9 +74,9 @@ struct HealthSnapshot {
   std::uint64_t seq = 0;        ///< sample number, 1-based, monotonic
   std::uint64_t t_wall_ns = 0;  ///< steady-clock time the sample was taken
 
-  // Degradation state (mirrors core::DegradationReport field-for-field; the
-  // collector fills these from the same counters, in loss-before-admission
-  // read order).
+  // Degradation state (mirrors core::DegradationReport field-for-field,
+  // federation levels included; the collector fills these from the same
+  // counters, in loss-before-admission read order).
   std::uint32_t lises_dead = 0;
   std::uint32_t degraded = 0;  ///< any degradation field nonzero
   std::uint64_t tools_failed = 0;
@@ -85,6 +85,10 @@ struct HealthSnapshot {
   std::uint64_t records_lost_wire = 0;
   std::uint64_t control_dropped = 0;
   std::uint64_t holdback_expired = 0;
+  std::uint32_t shards_dead = 0;
+  std::uint32_t pad_ = 0;
+  std::uint64_t records_lost_uplink = 0;
+  std::uint64_t records_lost_agg = 0;
 
   // Self-profiling tallies (obs/prof): process-wide allocator interposition
   // counts and the flight recorder's event ticker.

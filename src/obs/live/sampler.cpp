@@ -70,7 +70,8 @@ void TelemetrySampler::take_sample() {
   snap.degraded = (snap.lises_dead || snap.tools_failed ||
                    snap.records_lost_send || snap.records_lost_dead ||
                    snap.records_lost_wire || snap.control_dropped ||
-                   snap.holdback_expired)
+                   snap.holdback_expired || snap.shards_dead ||
+                   snap.records_lost_uplink || snap.records_lost_agg)
                       ? 1
                       : 0;
 

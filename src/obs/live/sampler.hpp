@@ -6,9 +6,10 @@
 // tallies, the flight-recorder ticker.  Pipeline-specific state (stage
 // conservation rows, degradation mirror) comes from an injected Collector
 // callback, which is how the obs module stays free of core types: core's
-// IntegratedEnvironment supplies a collector that reads Lis/Ism/TP stats in
-// the completed → lost → admitted order StageHealth requires, and obs never
-// links against it.
+// IntegratedEnvironment — flat or federated — supplies a collector that
+// reads the root ISM, aggregator, TP and LIS stats level by level from the
+// root down, in the completed → lost → admitted order StageHealth requires,
+// and obs never links against it.
 //
 // Lifecycle: construction starts the thread; stop() (idempotent, run by the
 // destructor) takes one final sample so short runs — shorter than a period —

@@ -2,9 +2,11 @@
 //
 // Where apps.hpp drives the *simulated* multicomputer, these run actual
 // std::thread "nodes" exchanging messages over in-process channels, with
-// instrumentation events recorded through an IntegratedEnvironment's LISes.
-// They exist so the live LIS/ISM/TP stack is exercised end-to-end by the
-// test suite, the examples, and the live-vs-model validation bench.
+// instrumentation events recorded through an IntegratedEnvironment's LISes
+// — flat or federated (federation.shards >= 1; a FederatedEnvironment
+// converts too), since the workloads only touch the per-node LISes.  They
+// exist so the live LIS/ISM/TP stack is exercised end-to-end by the test
+// suite, the examples, and the live-vs-model validation bench.
 #pragma once
 
 #include <cstdint>

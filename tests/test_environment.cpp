@@ -1,11 +1,15 @@
 // The integrated environment: full lifecycle across LIS styles, FAOF gang
-// flush, conservation from record() to tool dispatch, classification.
+// flush, conservation from record() to tool dispatch, classification.  The
+// lifecycle tests run over every topology: flat (no aggregator level), one
+// aggregator shard, and four.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/clock.hpp"
 #include "core/environment.hpp"
+#include "core/federation.hpp"
 
 namespace prism::core {
 namespace {
@@ -18,25 +22,37 @@ trace::EventRecord rec(std::uint32_t node, std::uint64_t seq) {
   return r;
 }
 
+/// Aggregator shard counts the lifecycle tests run over (0 = flat).
+constexpr std::uint32_t kTopologies[] = {0, 1, 4};
+
+EnvironmentConfig with_shards(EnvironmentConfig cfg, std::uint32_t shards) {
+  cfg.federation.shards = shards;
+  return cfg;
+}
+
 TEST(Environment, BufferedLifecycleConserves) {
-  EnvironmentConfig cfg;
-  cfg.nodes = 3;
-  cfg.lis_style = LisStyle::kBuffered;
-  cfg.local_buffer_capacity = 8;
-  cfg.ism.causal_ordering = false;
-  IntegratedEnvironment env(cfg);
-  auto stats = std::make_shared<StatsTool>();
-  env.attach_tool(stats);
-  env.start();
-  for (std::uint32_t n = 0; n < 3; ++n)
-    for (std::uint64_t s = 0; s < 20; ++s) env.record(n, rec(n, s));
-  env.stop();
-  EXPECT_EQ(stats->total(), 60u);
-  const auto lis = env.total_lis_stats();
-  EXPECT_EQ(lis.recorded, 60u);
-  EXPECT_EQ(lis.records_forwarded, 60u);
-  EXPECT_EQ(lis.dropped, 0u);
-  EXPECT_EQ(env.ism().stats().records_dispatched, 60u);
+  for (const std::uint32_t shards : kTopologies) {
+    SCOPED_TRACE("shards = " + std::to_string(shards));
+    EnvironmentConfig cfg;
+    cfg.nodes = 3;
+    cfg.lis_style = LisStyle::kBuffered;
+    cfg.local_buffer_capacity = 8;
+    cfg.ism.causal_ordering = false;
+    IntegratedEnvironment env(with_shards(cfg, shards));
+    EXPECT_EQ(env.shards(), shards);
+    auto stats = std::make_shared<StatsTool>();
+    env.attach_tool(stats);
+    env.start();
+    for (std::uint32_t n = 0; n < 3; ++n)
+      for (std::uint64_t s = 0; s < 20; ++s) env.record(n, rec(n, s));
+    env.stop();
+    EXPECT_EQ(stats->total(), 60u);
+    const auto lis = env.total_lis_stats();
+    EXPECT_EQ(lis.recorded, 60u);
+    EXPECT_EQ(lis.records_forwarded, 60u);
+    EXPECT_EQ(lis.dropped, 0u);
+    EXPECT_EQ(env.ism().stats().records_dispatched, 60u);
+  }
 }
 
 TEST(Environment, FaofGangFlushAcrossNodes) {
@@ -157,23 +173,48 @@ TEST(Environment, StorageConfigClassifiesOnOffline) {
 }
 
 TEST(Environment, BadNodeAccessThrows) {
-  EnvironmentConfig cfg;
-  cfg.nodes = 2;
-  IntegratedEnvironment env(cfg);
-  EXPECT_THROW(env.lis(2), std::out_of_range);
-  EnvironmentConfig zero;
-  zero.nodes = 0;
-  EXPECT_THROW(IntegratedEnvironment{zero}, std::invalid_argument);
+  for (const std::uint32_t shards : kTopologies) {
+    SCOPED_TRACE("shards = " + std::to_string(shards));
+    EnvironmentConfig cfg;
+    cfg.nodes = 2;
+    IntegratedEnvironment env(with_shards(cfg, shards));
+    EXPECT_THROW(env.lis(2), std::out_of_range);
+    EnvironmentConfig zero;
+    zero.nodes = 0;
+    EXPECT_THROW(IntegratedEnvironment{with_shards(zero, shards)},
+                 std::invalid_argument);
+  }
 }
 
 TEST(Environment, DoubleStartStopSafe) {
-  EnvironmentConfig cfg;
-  IntegratedEnvironment env(cfg);
-  env.start();
-  env.start();
-  env.stop();
-  env.stop();
+  for (const std::uint32_t shards : kTopologies) {
+    SCOPED_TRACE("shards = " + std::to_string(shards));
+    EnvironmentConfig cfg;
+    IntegratedEnvironment env(with_shards(cfg, shards));
+    env.start();
+    env.start();
+    env.stop();
+    env.stop();
+  }
   SUCCEED();
+}
+
+TEST(Environment, ShardAccessorsThrowWhenFlat) {
+  EnvironmentConfig cfg;
+  cfg.nodes = 2;
+  IntegratedEnvironment env(cfg);
+  EXPECT_EQ(env.shards(), 0u);
+  EXPECT_THROW(env.aggregator(0), std::out_of_range);
+  EXPECT_THROW(env.cluster_tp(0), std::out_of_range);
+  EXPECT_THROW(env.router(), std::out_of_range);
+  EXPECT_THROW(env.shard_of(0), std::out_of_range);
+  EXPECT_THROW(env.shard_members(0), std::out_of_range);
+  EXPECT_THROW(env.shard_lis_stats(0), std::out_of_range);
+  EXPECT_THROW(env.aggregator_stats(0), std::out_of_range);
+  EXPECT_THROW(env.shard_degradation(0), std::out_of_range);
+  // The environment-wide views work at zero levels.
+  EXPECT_FALSE(env.degradation().degraded());
+  EXPECT_EQ(env.total_lis_stats().recorded, 0u);
 }
 
 TEST(Environment, LisStyleNames) {

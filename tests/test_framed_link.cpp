@@ -1,16 +1,18 @@
 // The framed-link contract, run once per byte path: every test here holds
 // for the fd stream (`tp = socket`) and the shm ring (`tp = shm`) alike,
-// because both are the same engine (core/framed_link.hpp).  EOF handling,
-// send-after-close attribution, untrusted-header rejection, truncation,
-// partial frames, send-fault retry, the undelivered-frame reconcile, and
-// the integrated-environment ledger.  Byte-path-specific behaviour
-// (coalescing, TCP, ring capacity and wrap, fork) stays in
-// test_socket_link.cpp / test_shm_link.cpp.
+// because both are the same engine (core/framed_link.hpp).  Backend
+// selection, round trips, control bypass, EOF handling, send-after-close
+// attribution, untrusted-header rejection, truncation, partial frames,
+// send-fault retry and exhaustion, corrupt magic, the undelivered-frame
+// reconcile, and the ISM / integrated-environment ledgers.
+// Byte-path-specific behaviour (coalescing, TCP, ring capacity and wrap,
+// fork) stays in test_socket_link.cpp / test_shm_link.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 
 #include "core/clock.hpp"
@@ -33,8 +35,11 @@ struct OverSocket {
   static bool enabled(prism::core::TransferProtocol& tp) {
     return tp.socket_backend_enabled();
   }
-  static auto& link(prism::core::TransferProtocol& tp) {
-    return tp.socket_link(0);
+  static auto* transport(prism::core::TransferProtocol& tp) {
+    return tp.socket_transport();
+  }
+  static auto& link(prism::core::TransferProtocol& tp, std::size_t i = 0) {
+    return tp.socket_link(i);
   }
 };
 
@@ -49,8 +54,11 @@ struct OverShm {
   static bool enabled(prism::core::TransferProtocol& tp) {
     return tp.shm_backend_enabled();
   }
-  static auto& link(prism::core::TransferProtocol& tp) {
-    return tp.shm_link(0);
+  static auto* transport(prism::core::TransferProtocol& tp) {
+    return tp.shm_transport();
+  }
+  static auto& link(prism::core::TransferProtocol& tp, std::size_t i = 0) {
+    return tp.shm_link(i);
   }
 };
 
@@ -103,12 +111,13 @@ struct WireHeader {
 };
 static_assert(sizeof(WireHeader) == 24, "wire format");
 
-/// A TransferProtocol with the byte path `P` enabled on one data link — the
-/// harness the tests push batches into and pop frames out of.
+/// A TransferProtocol with the byte path `P` enabled on `links` data links
+/// — the harness the tests push batches into and pop frames out of.
 template <class P>
 struct Harness {
-  explicit Harness(typename P::Options opts = {})
-      : tp(P::kFlavor, 1, 1, 256) {
+  explicit Harness(typename P::Options opts = {}, std::size_t links = 1,
+                   std::size_t capacity = 256)
+      : tp(P::kFlavor, links, links, capacity) {
     P::enable(tp, opts);
   }
   auto& link() { return P::link(tp); }
@@ -121,7 +130,125 @@ class FramedLinkContract : public ::testing::Test {};
 using Paths = ::testing::Types<OverSocket, OverShm>;
 TYPED_TEST_SUITE(FramedLinkContract, Paths);
 
+// ---- Backend selection --------------------------------------------------------
+
+TYPED_TEST(FramedLinkContract, RequiresItsFlavor) {
+  TransferProtocol tp(TpFlavor::kPipe, 1, 1, 16);
+  EXPECT_THROW(TypeParam::enable(tp, {}), std::logic_error);
+  EXPECT_FALSE(TypeParam::enabled(tp));
+  // Without the backend the receive link IS the data link.
+  EXPECT_EQ(&tp.receive_link(0), &tp.data_link(0));
+}
+
+TYPED_TEST(FramedLinkContract, EnableIsOnceOnly) {
+  TransferProtocol tp(TypeParam::kFlavor, 1, 1, 16);
+  TypeParam::enable(tp, {});
+  EXPECT_TRUE(TypeParam::enabled(tp));
+  EXPECT_THROW(TypeParam::enable(tp, {}), std::logic_error);
+}
+
+TYPED_TEST(FramedLinkContract, ReceiveLinkIsEgressNotIngress) {
+  Harness<TypeParam> h;
+  EXPECT_NE(&h.tp.receive_link(0), &h.tp.data_link(0));
+  EXPECT_EQ(&h.tp.receive_link(0), &TypeParam::transport(h.tp)->egress(0));
+}
+
+// ---- Round trips --------------------------------------------------------------
+
+TYPED_TEST(FramedLinkContract, RoundTripsOneBatch) {
+  Harness<TypeParam> h;
+  ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(3, 5, 100))));
+  auto msg = h.tp.receive_link(0).pop();
+  ASSERT_TRUE(msg.has_value());
+  auto* b = std::get_if<DataBatch>(&*msg);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->source_node, 3u);
+  ASSERT_EQ(b->records.size(), 5u);
+  EXPECT_EQ(b->records[0].seq, 100u);
+  EXPECT_EQ(b->records[4].seq, 104u);
+  EXPECT_TRUE(eventually([&] { return h.link().frames_delivered() == 1; }));
+  // Writer counters update after the write; the reader can deliver first.
+  EXPECT_TRUE(eventually([&] { return h.link().frames_sent() == 1; }));
+  EXPECT_GT(h.link().bytes_sent(), 5 * sizeof(trace::EventRecord));
+}
+
+TYPED_TEST(FramedLinkContract, EmptyBatchAllowed) {
+  Harness<TypeParam> h;
+  ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(1, 0))));
+  auto msg = h.tp.receive_link(0).pop();
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_TRUE(std::get_if<DataBatch>(&*msg)->records.empty());
+}
+
+TYPED_TEST(FramedLinkContract, ManyBatchesPreserveOrder) {
+  Harness<TypeParam> h({}, 1, 512);
+  for (std::uint64_t i = 0; i < 100; ++i)
+    ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(0, 3, i * 10))));
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    auto msg = h.tp.receive_link(0).pop();
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(std::get_if<DataBatch>(&*msg)->records[0].seq, i * 10);
+  }
+  EXPECT_EQ(h.link().frames_delivered(), 100u);
+  EXPECT_FALSE(h.link().stream_corrupt());
+}
+
+TYPED_TEST(FramedLinkContract, MultiLinkTrafficStaysSegregated) {
+  Harness<TypeParam> h({}, 3, 64);
+  for (std::uint32_t n = 0; n < 3; ++n)
+    ASSERT_TRUE(h.tp.data_link(n).push(Message(batch(n, 2, n * 100))));
+  for (std::uint32_t n = 0; n < 3; ++n) {
+    auto msg = h.tp.receive_link(n).pop();
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(std::get_if<DataBatch>(&*msg)->source_node, n);
+    EXPECT_EQ(std::get_if<DataBatch>(&*msg)->records[0].seq, n * 100u);
+  }
+}
+
+TYPED_TEST(FramedLinkContract, ControlMessagesBypassInOrder) {
+  Harness<TypeParam> h;
+  ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(0, 2, 0))));
+  ControlMessage cm;
+  cm.kind = ControlKind::kFlushAll;
+  ASSERT_TRUE(h.tp.data_link(0).push(Message(cm)));
+  // The data frame was flushed before the control bypass, but delivery is
+  // asynchronous: the control message may surface first.  Both must
+  // arrive, and the control message must never have crossed the byte path.
+  bool saw_batch = false, saw_control = false;
+  for (int i = 0; i < 2; ++i) {
+    auto msg = h.tp.receive_link(0).pop();
+    ASSERT_TRUE(msg.has_value());
+    if (auto* b = std::get_if<DataBatch>(&*msg)) {
+      EXPECT_EQ(b->records.size(), 2u);
+      saw_batch = true;
+    } else {
+      EXPECT_EQ(std::get_if<ControlMessage>(&*msg)->kind,
+                ControlKind::kFlushAll);
+      saw_control = true;
+    }
+  }
+  EXPECT_TRUE(saw_batch);
+  EXPECT_TRUE(saw_control);
+  EXPECT_TRUE(eventually(  // only the batch framed (writer counters lag)
+      [&] { return h.link().frames_sent() == 1; }));
+}
+
 // ---- EOF and teardown ---------------------------------------------------------
+
+TYPED_TEST(FramedLinkContract, ClosingDataLinksDrainsAndClosesEgress) {
+  // The normal shutdown path: close_data_links() lets the pump drain,
+  // flush, and EOF the byte path; every in-flight frame must still arrive.
+  Harness<TypeParam> h;
+  for (std::uint64_t i = 0; i < 50; ++i)
+    ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(0, 4, i * 4))));
+  h.tp.close_data_links();
+  std::size_t records = 0;
+  while (auto msg = h.tp.receive_link(0).pop())
+    records += std::get_if<DataBatch>(&*msg)->records.size();
+  EXPECT_EQ(records, 200u);
+  EXPECT_EQ(h.link().records_lost(), 0u);
+  EXPECT_EQ(h.link().frames_undelivered(), 0u);
+}
 
 TYPED_TEST(FramedLinkContract, CloseWriterDeliversThenCleanEof) {
   Harness<TypeParam> h;
@@ -258,6 +385,69 @@ TYPED_TEST(FramedLinkContract, TransientSendFailureRetriesAndDelivers) {
   EXPECT_EQ(h.link().records_lost(), 0u);
 }
 
+TYPED_TEST(FramedLinkContract, RetryExhaustionAttributesTheBatch) {
+  Harness<TypeParam> h;
+  obs::PipelineObserver obs;
+  h.tp.set_observer(&obs);
+  fault::FaultPlan p;
+  fault::FaultSpec s;
+  s.site = TypeParam::kSendSite;
+  s.kind = fault::FaultKind::kSendFail;
+  s.every_n = 1;  // every attempt fails
+  p.add(s);
+  fault::FaultInjector inj(p, 5);
+  fault::RetryPolicy rp;
+  rp.max_attempts = 2;
+  rp.base_backoff_ns = 100;
+  h.tp.set_fault(&inj, rp);
+
+  auto b = batch(0, 2, 0);
+  offer(obs, b);
+  ASSERT_TRUE(h.tp.data_link(0).push(Message(std::move(b))));
+  ASSERT_TRUE(eventually([&] { return h.link().records_lost() == 2; }));
+  EXPECT_EQ(h.link().send_failures(), 2u);
+  const auto rep = obs.lineage.report();
+  EXPECT_EQ(
+      rep.lost_at[static_cast<std::size_t>(obs::LossSite::kRetryExhausted)],
+      2u);
+  EXPECT_EQ(rep.in_flight, 0u);
+  // Exhaustion destroyed the batch but not the stream: detach the fault and
+  // later traffic still flows.
+  h.tp.set_fault(nullptr);
+  ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(0, 1, 10))));
+  EXPECT_TRUE(h.tp.receive_link(0).pop().has_value());
+}
+
+TYPED_TEST(FramedLinkContract, InjectedCorruptMagicIsCaughtByTheReader) {
+  Harness<TypeParam> h;
+  obs::PipelineObserver obs;
+  h.tp.set_observer(&obs);
+  fault::FaultPlan p;
+  fault::FaultSpec s;
+  s.site = TypeParam::kFrameSite;
+  s.kind = fault::FaultKind::kFrameCorrupt;
+  s.at_op = 1;
+  p.add(s);
+  fault::FaultInjector inj(p, 7);
+  h.tp.set_fault(&inj);
+
+  auto b = batch(0, 3, 0);
+  offer(obs, b);
+  ASSERT_TRUE(h.tp.data_link(0).push(Message(std::move(b))));
+  // The corrupted frame ships whole; the reader must detect the flipped
+  // magic and latch corruption.
+  EXPECT_FALSE(h.tp.receive_link(0).pop().has_value());
+  auto& link = h.link();
+  EXPECT_TRUE(link.stream_corrupt());
+  EXPECT_EQ(link.frames_corrupt(), 1u);
+  EXPECT_EQ(link.frames_aborted(), 1u);
+  EXPECT_EQ(link.records_lost(), 3u);
+  const auto rep = obs.lineage.report();
+  EXPECT_EQ(
+      rep.lost_at[static_cast<std::size_t>(obs::LossSite::kFrameCorrupt)], 3u);
+  EXPECT_EQ(rep.in_flight, 0u);
+}
+
 TYPED_TEST(FramedLinkContract, PartialFrameDesynchronizesAndAborts) {
   Harness<TypeParam> h;
   obs::PipelineObserver obs;
@@ -288,7 +478,44 @@ TYPED_TEST(FramedLinkContract, PartialFrameDesynchronizesAndAborts) {
       rep.lost_at[static_cast<std::size_t>(obs::LossSite::kFrameCorrupt)], 2u);
 }
 
-// ---- Integrated environment ---------------------------------------------------
+// ---- ISM and integrated environment -------------------------------------------
+
+TYPED_TEST(FramedLinkContract, FeedsIsmEndToEnd) {
+  Harness<TypeParam> h;
+  IsmConfig cfg;
+  cfg.causal_ordering = false;
+  Ism ism(h.tp, cfg);
+  auto stats_tool = std::make_shared<StatsTool>();
+  ism.attach_tool(stats_tool);
+  ism.start();
+  for (std::uint64_t i = 0; i < 50; ++i)
+    ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(0, 4, i * 4))));
+  ism.stop();
+  EXPECT_EQ(stats_tool->total(), 200u);
+  EXPECT_EQ(h.link().records_lost(), 0u);
+}
+
+TYPED_TEST(FramedLinkContract, MisoEnvironmentUsesOneLinkPerNode) {
+  core::EnvironmentConfig cfg;
+  cfg.nodes = 3;
+  cfg.lis_style = core::LisStyle::kBuffered;
+  cfg.flush_policy = core::FlushPolicyKind::kFof;
+  cfg.local_buffer_capacity = 8;
+  cfg.tp_flavor = TypeParam::kFlavor;
+  cfg.ism.input = core::InputConfig::kMiso;
+  cfg.ism.causal_ordering = true;
+  IntegratedEnvironment env(cfg);
+  ASSERT_EQ(TypeParam::transport(env.tp())->link_count(), 3u);
+  auto tool = std::make_shared<StatsTool>();
+  env.attach_tool(tool);
+  env.start();
+  for (std::uint64_t i = 0; i < 300; ++i)
+    env.record(ev(static_cast<std::uint32_t>(i % 3), i / 3));
+  env.stop();
+  EXPECT_EQ(tool->total(), 300u);
+  for (std::uint32_t n = 0; n < 3; ++n)
+    EXPECT_GT(TypeParam::link(env.tp(), n).frames_delivered(), 0u);
+}
 
 TYPED_TEST(FramedLinkContract, EnvironmentLedgerIsExactOverTheWire) {
   core::EnvironmentConfig cfg;

@@ -388,6 +388,9 @@ TEST(Exposition, GoldenHealthBlock) {
       "prism_degradation{kind=\"records_lost_wire\"} 0\n"
       "prism_degradation{kind=\"control_dropped\"} 0\n"
       "prism_degradation{kind=\"holdback_expired\"} 0\n"
+      "prism_degradation{kind=\"shards_dead\"} 0\n"
+      "prism_degradation{kind=\"records_lost_uplink\"} 0\n"
+      "prism_degradation{kind=\"records_lost_agg\"} 0\n"
       "# HELP prism_degraded 1 when any degradation field is nonzero\n"
       "# TYPE prism_degraded gauge\n"
       "prism_degraded 1\n"

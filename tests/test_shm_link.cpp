@@ -1,9 +1,9 @@
-// The shared-memory byte path (`tp = shm`): framing round trips through
-// SPSC rings, bounded-egress backpressure and ring capacity, retry
-// exhaustion and corrupt-magic attribution, batch-storage recycling
-// through the BatchArena, and integration with the ISM and the integrated
-// environment under seeded chaos.  The contract every byte path shares
-// lives in test_framed_link.cpp.
+// The shared-memory byte path (`tp = shm`): option validation,
+// bounded-egress backpressure and ring capacity, batch-storage recycling
+// through the BatchArena, and the integrated environment under seeded
+// chaos.  The contract every byte path shares (round trips, backend
+// selection, retry exhaustion, corrupt magic, ISM and MISO integration,
+// ...) lives in test_framed_link.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -54,8 +54,7 @@ bool eventually(const std::function<bool()>& f) {
   return f();
 }
 
-/// A kShm TransferProtocol with the real backend enabled — the harness
-/// most tests push batches into and pop frames out of.
+/// A kShm TransferProtocol with the real backend enabled.
 struct ShmHarness {
   explicit ShmHarness(std::size_t links = 1, std::size_t capacity = 256,
                       ShmOptions opts = {})
@@ -66,20 +65,6 @@ struct ShmHarness {
 };
 
 // ---- Backend selection --------------------------------------------------------
-
-TEST(ShmBackend, RequiresShmFlavor) {
-  TransferProtocol tp(TpFlavor::kPipe, 1, 1, 16);
-  EXPECT_THROW(tp.enable_shm_backend(), std::logic_error);
-  EXPECT_FALSE(tp.shm_backend_enabled());
-  EXPECT_EQ(&tp.receive_link(0), &tp.data_link(0));
-}
-
-TEST(ShmBackend, EnableIsOnceOnly) {
-  TransferProtocol tp(TpFlavor::kShm, 1, 1, 16);
-  tp.enable_shm_backend();
-  EXPECT_TRUE(tp.shm_backend_enabled());
-  EXPECT_THROW(tp.enable_shm_backend(), std::logic_error);
-}
 
 TEST(ShmBackend, RejectsUnusableOptions) {
   ShmOptions bad;
@@ -101,91 +86,8 @@ TEST(ShmBackend, RejectsUnusableOptions) {
   }
 }
 
-TEST(ShmBackend, ReceiveLinkIsEgressNotIngress) {
-  ShmHarness h;
-  EXPECT_NE(&h.tp.receive_link(0), &h.tp.data_link(0));
-  EXPECT_EQ(&h.tp.receive_link(0), &h.tp.shm_transport()->egress(0));
-}
-
 TEST(ShmBackend, FlavorNameRoundTrips) {
   EXPECT_EQ(to_string(TpFlavor::kShm), "shm");
-}
-
-// ---- Round trips --------------------------------------------------------------
-
-TEST(ShmLinkTest, RoundTripsOneBatch) {
-  ShmHarness h;
-  ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(3, 5, 100))));
-  auto msg = h.tp.receive_link(0).pop();
-  ASSERT_TRUE(msg.has_value());
-  auto* b = std::get_if<DataBatch>(&*msg);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(b->source_node, 3u);
-  ASSERT_EQ(b->records.size(), 5u);
-  EXPECT_EQ(b->records[0].seq, 100u);
-  EXPECT_EQ(b->records[4].seq, 104u);
-  EXPECT_TRUE(
-      eventually([&] { return h.tp.shm_link(0).frames_delivered() == 1; }));
-  EXPECT_EQ(h.tp.shm_link(0).frames_sent(), 1u);
-  EXPECT_GT(h.tp.shm_link(0).bytes_sent(), 5 * sizeof(trace::EventRecord));
-}
-
-TEST(ShmLinkTest, EmptyBatchAllowed) {
-  ShmHarness h;
-  ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(1, 0))));
-  auto msg = h.tp.receive_link(0).pop();
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_TRUE(std::get_if<DataBatch>(&*msg)->records.empty());
-}
-
-TEST(ShmLinkTest, ManyBatchesPreserveOrder) {
-  ShmHarness h(1, 512);
-  for (std::uint64_t i = 0; i < 100; ++i)
-    ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(0, 3, i * 10))));
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    auto msg = h.tp.receive_link(0).pop();
-    ASSERT_TRUE(msg.has_value());
-    EXPECT_EQ(std::get_if<DataBatch>(&*msg)->records[0].seq, i * 10);
-  }
-  EXPECT_EQ(h.tp.shm_link(0).frames_delivered(), 100u);
-  EXPECT_FALSE(h.tp.shm_link(0).stream_corrupt());
-}
-
-TEST(ShmLinkTest, MultiLinkTrafficStaysSegregated) {
-  ShmHarness h(3, 64);
-  for (std::uint32_t n = 0; n < 3; ++n)
-    ASSERT_TRUE(h.tp.data_link(n).push(Message(batch(n, 2, n * 100))));
-  for (std::uint32_t n = 0; n < 3; ++n) {
-    auto msg = h.tp.receive_link(n).pop();
-    ASSERT_TRUE(msg.has_value());
-    EXPECT_EQ(std::get_if<DataBatch>(&*msg)->source_node, n);
-    EXPECT_EQ(std::get_if<DataBatch>(&*msg)->records[0].seq, n * 100u);
-  }
-}
-
-TEST(ShmLinkTest, ControlMessagesBypassTheRingInOrder) {
-  ShmHarness h;
-  ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(0, 2, 0))));
-  ControlMessage cm;
-  cm.kind = ControlKind::kFlushAll;
-  ASSERT_TRUE(h.tp.data_link(0).push(Message(cm)));
-  bool saw_batch = false, saw_control = false;
-  for (int i = 0; i < 2; ++i) {
-    auto msg = h.tp.receive_link(0).pop();
-    ASSERT_TRUE(msg.has_value());
-    if (auto* b = std::get_if<DataBatch>(&*msg)) {
-      EXPECT_EQ(b->records.size(), 2u);
-      saw_batch = true;
-    } else {
-      EXPECT_EQ(std::get_if<ControlMessage>(&*msg)->kind,
-                ControlKind::kFlushAll);
-      saw_control = true;
-    }
-  }
-  EXPECT_TRUE(saw_batch);
-  EXPECT_TRUE(saw_control);
-  // Only the batch was framed into the ring; the control message bypassed.
-  EXPECT_TRUE(eventually([&] { return h.tp.shm_link(0).frames_sent() == 1; }));
 }
 
 // ---- Backpressure -------------------------------------------------------------
@@ -239,91 +141,6 @@ TEST(ShmBackpressure, FrameLargerThanTheRingIsLostNotWedged) {
   EXPECT_EQ(std::get_if<DataBatch>(&*msg)->records[0].seq, 500u);
 }
 
-// ---- EOF and teardown ---------------------------------------------------------
-
-TEST(ShmLinkTest, ClosingDataLinksDrainsAndClosesEgress) {
-  ShmHarness h;
-  for (std::uint64_t i = 0; i < 50; ++i)
-    ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(0, 4, i * 4))));
-  h.tp.close_data_links();
-  std::size_t records = 0;
-  while (auto msg = h.tp.receive_link(0).pop())
-    records += std::get_if<DataBatch>(&*msg)->records.size();
-  EXPECT_EQ(records, 200u);
-  EXPECT_EQ(h.tp.shm_link(0).records_lost(), 0u);
-  EXPECT_EQ(h.tp.shm_link(0).frames_undelivered(), 0u);
-}
-
-// ---- Fault injection ----------------------------------------------------------
-
-TEST(ShmFault, RetryExhaustionAttributesTheBatch) {
-  ShmHarness h;
-  obs::PipelineObserver obs;
-  h.tp.set_observer(&obs);
-  fault::FaultPlan p;
-  fault::FaultSpec s;
-  s.site = fault::FaultSite::kShmPush;
-  s.kind = fault::FaultKind::kSendFail;
-  s.every_n = 1;  // every attempt fails
-  p.add(s);
-  fault::FaultInjector inj(p, 5);
-  fault::RetryPolicy rp;
-  rp.max_attempts = 2;
-  rp.base_backoff_ns = 100;
-  h.tp.set_fault(&inj, rp);
-
-  auto b = batch(0, 2, 0);
-  for (const auto& r : b.records)
-    obs.lineage.offer(obs::lineage_key(r.node, r.process, r.seq),
-                      static_cast<double>(now_ns()));
-  ASSERT_TRUE(h.tp.data_link(0).push(Message(std::move(b))));
-  ASSERT_TRUE(
-      eventually([&] { return h.tp.shm_link(0).records_lost() == 2; }));
-  EXPECT_EQ(h.tp.shm_link(0).send_failures(), 2u);
-  const auto rep = obs.lineage.report();
-  EXPECT_EQ(
-      rep.lost_at[static_cast<std::size_t>(obs::LossSite::kRetryExhausted)],
-      2u);
-  EXPECT_EQ(rep.in_flight, 0u);
-  // Exhaustion destroyed the batch but not the stream: detach the fault and
-  // later traffic still flows.
-  h.tp.set_fault(nullptr);
-  ASSERT_TRUE(h.tp.data_link(0).push(Message(batch(0, 1, 10))));
-  EXPECT_TRUE(h.tp.receive_link(0).pop().has_value());
-}
-
-TEST(ShmFault, InjectedCorruptMagicIsCaughtByTheReader) {
-  ShmHarness h;
-  obs::PipelineObserver obs;
-  h.tp.set_observer(&obs);
-  fault::FaultPlan p;
-  fault::FaultSpec s;
-  s.site = fault::FaultSite::kShmFrame;
-  s.kind = fault::FaultKind::kFrameCorrupt;
-  s.at_op = 1;
-  p.add(s);
-  fault::FaultInjector inj(p, 7);
-  h.tp.set_fault(&inj);
-
-  auto b = batch(0, 3, 0);
-  for (const auto& r : b.records)
-    obs.lineage.offer(obs::lineage_key(r.node, r.process, r.seq),
-                      static_cast<double>(now_ns()));
-  ASSERT_TRUE(h.tp.data_link(0).push(Message(std::move(b))));
-  // The corrupted frame ships whole; the reader must detect the flipped
-  // magic and latch corruption.
-  EXPECT_FALSE(h.tp.receive_link(0).pop().has_value());
-  auto& link = h.tp.shm_link(0);
-  EXPECT_TRUE(link.stream_corrupt());
-  EXPECT_EQ(link.frames_corrupt(), 1u);
-  EXPECT_EQ(link.frames_aborted(), 1u);
-  EXPECT_EQ(link.records_lost(), 3u);
-  const auto rep = obs.lineage.report();
-  EXPECT_EQ(
-      rep.lost_at[static_cast<std::size_t>(obs::LossSite::kFrameCorrupt)], 3u);
-  EXPECT_EQ(rep.in_flight, 0u);
-}
-
 // ---- Batch-storage recycling --------------------------------------------------
 
 TEST(ShmArena, ReceivePathRecyclesBatchStorageThroughTheArena) {
@@ -358,44 +175,6 @@ TEST(ShmArena, ReceivePathRecyclesBatchStorageThroughTheArena) {
 }
 
 // ---- ISM / environment integration --------------------------------------------
-
-TEST(ShmIntegration, FeedsIsmEndToEnd) {
-  TransferProtocol tp(TpFlavor::kShm, 1, 1, 256);
-  tp.enable_shm_backend();
-  IsmConfig cfg;
-  cfg.causal_ordering = false;
-  Ism ism(tp, cfg);
-  auto stats_tool = std::make_shared<StatsTool>();
-  ism.attach_tool(stats_tool);
-  ism.start();
-  for (std::uint64_t i = 0; i < 50; ++i)
-    ASSERT_TRUE(tp.data_link(0).push(Message(batch(0, 4, i * 4))));
-  ism.stop();
-  EXPECT_EQ(stats_tool->total(), 200u);
-  EXPECT_EQ(tp.shm_link(0).records_lost(), 0u);
-}
-
-TEST(ShmIntegration, MisoEnvironmentUsesOneRingPerNode) {
-  core::EnvironmentConfig cfg;
-  cfg.nodes = 3;
-  cfg.lis_style = core::LisStyle::kBuffered;
-  cfg.flush_policy = core::FlushPolicyKind::kFof;
-  cfg.local_buffer_capacity = 8;
-  cfg.tp_flavor = TpFlavor::kShm;
-  cfg.ism.input = core::InputConfig::kMiso;
-  cfg.ism.causal_ordering = true;
-  IntegratedEnvironment env(cfg);
-  ASSERT_EQ(env.tp().shm_transport()->link_count(), 3u);
-  auto tool = std::make_shared<StatsTool>();
-  env.attach_tool(tool);
-  env.start();
-  for (std::uint64_t i = 0; i < 300; ++i)
-    env.record(ev(static_cast<std::uint32_t>(i % 3), i / 3));
-  env.stop();
-  EXPECT_EQ(tool->total(), 300u);
-  for (std::uint32_t n = 0; n < 3; ++n)
-    EXPECT_GT(env.tp().shm_link(n).frames_delivered(), 0u);
-}
 
 TEST(ShmIntegration, ConservationIsExactUnderSeededChaos) {
   // The tentpole invariant: under injected push failures and frame

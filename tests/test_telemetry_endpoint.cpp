@@ -323,74 +323,134 @@ TEST(TelemetryLive, EnvironmentServesMetricsHealthAndFlight) {
 }
 
 // The acceptance criterion: a chaotic run is scrapeable mid-run, and every
-// scrape satisfies the conservation identity on every stage.
+// scrape satisfies the conservation identity on every stage — flat, and
+// federated with two shards shipping to the root over shm (so the agg and
+// uplink rows are live too).
 TEST(TelemetryLive, MidChaosScrapesConserveOnEveryStage) {
-  EnvironmentConfig cfg;
-  cfg.nodes = 2;
-  cfg.lis_style = core::LisStyle::kBuffered;
-  cfg.local_buffer_capacity = 8;
-  // Lossy run: without causal ordering, a seq gap from a lost send does not
-  // strand every later record of that node in the reorderer — the terminal
-  // drain can then empty the pipeline row completely.
-  cfg.ism.causal_ordering = false;
-  cfg.telemetry.mode = TelemetryMode::kUnix;
-  cfg.telemetry.endpoint = scratch_sock("chaos");
-  cfg.telemetry.period_ms = 2;
+  struct Topology {
+    const char* name;
+    std::uint32_t shards;
+    std::vector<std::string> rows;  ///< stage rows every scrape carries
+  };
+  const Topology topologies[] = {
+      {"flat", 0, {"lis", "ism", "pipeline"}},
+      {"fed2", 2, {"lis", "agg", "uplink", "ism", "pipeline"}},
+  };
+  for (const Topology& topo : topologies) {
+    SCOPED_TRACE(topo.name);
+    EnvironmentConfig cfg;
+    cfg.nodes = 2;
+    cfg.lis_style = core::LisStyle::kBuffered;
+    cfg.local_buffer_capacity = 8;
+    // Lossy run: without causal ordering, a seq gap from a lost send does
+    // not strand every later record of that node in a reorderer — the
+    // terminal drain can then empty the pipeline row completely.
+    cfg.ism.causal_ordering = false;
+    cfg.federation.shards = topo.shards;
+    cfg.federation.assign = core::ShardAssign::kModulo;  // one node per shard
+    cfg.federation.agg_batch_records = 8;
+    cfg.federation.root_tp = core::TpFlavor::kShm;
+    cfg.telemetry.mode = TelemetryMode::kUnix;
+    cfg.telemetry.endpoint = scratch_sock(topo.name);
+    cfg.telemetry.period_ms = 2;
+    IntegratedEnvironment env(cfg);
+    auto tool = std::make_shared<CountTool>();
+    env.attach_tool(tool);
+
+    FaultPlan plan;
+    plan.send_failure(FaultSite::kTpSend, 0.10);
+    FaultInjector inj(plan, 1234);
+    RetryPolicy rp;
+    rp.max_attempts = 2;  // one retry
+    env.set_fault(&inj, rp);
+    env.start();
+
+    std::uint64_t last_admitted = 0;
+    int scrapes = 0;
+    for (std::uint64_t i = 0; i < 4000; ++i) {
+      env.record(rec(i % 2, i / 2));
+      if (i % 400 != 399) continue;
+      const std::string health =
+          body_of(http_get(env.telemetry_address(), true, "/health"));
+      const auto doc = obs::jsonlite::parse(health);
+      ASSERT_TRUE(doc.has_value()) << health;
+      const auto* stages = doc->find("stages");
+      ASSERT_NE(stages, nullptr);
+      ASSERT_TRUE(stages->is_array());
+      ASSERT_EQ(stages->arr.size(), topo.rows.size());
+      for (std::size_t k = 0; k < topo.rows.size(); ++k) {
+        const auto& s = stages->arr[k];
+        EXPECT_EQ(s.find("name")->str, topo.rows[k]);
+        const auto admitted =
+            static_cast<std::uint64_t>(s.find("admitted")->num);
+        const auto completed =
+            static_cast<std::uint64_t>(s.find("completed")->num);
+        const auto lost = static_cast<std::uint64_t>(s.find("lost")->num);
+        const auto in_flight =
+            static_cast<std::uint64_t>(s.find("in_flight")->num);
+        // "conserved" is false for a torn row too (StageHealth::conserved).
+        EXPECT_TRUE(s.find("conserved")->b)
+            << s.find("name")->str << " at scrape " << scrapes;
+        EXPECT_EQ(admitted, completed + lost + in_flight)
+            << s.find("name")->str;
+        if (s.find("name")->str == "lis") {
+          // Admissions are monotone scrape over scrape.
+          EXPECT_GE(admitted, last_admitted);
+          last_admitted = admitted;
+        }
+      }
+      ++scrapes;
+    }
+    EXPECT_EQ(scrapes, 10);
+    env.stop();
+
+    // The terminal (post-drain) sample conserves too, with nothing in
+    // flight on the pipeline row.
+    obs::live::HealthSnapshot hs;
+    ASSERT_TRUE(env.telemetry_sampler()->read(hs));
+    EXPECT_TRUE(hs.conserved());
+    const auto* pipeline = hs.stage("pipeline");
+    ASSERT_NE(pipeline, nullptr);
+    EXPECT_EQ(pipeline->in_flight, 0u);
+    EXPECT_EQ(pipeline->completed, tool->seen());
+  }
+}
+
+// `ism_shards` in a config file builds the federated topology in
+// IntegratedEnvironment itself, and telemetry serves it: the terminal
+// snapshot carries the aggregator row and conserves on every stage.
+TEST(TelemetryLive, IsmShardsConfigRunsFederatedWithTelemetry) {
+  const std::string sock = scratch_sock("shards");
+  const EnvironmentConfig cfg = core::parse_environment_config(
+      "nodes = 8\n"
+      "ism_shards = 2\n"
+      "telemetry = unix\n"
+      "telemetry_period_ms = 5\n"
+      "telemetry_endpoint = " + sock + "\n");
   IntegratedEnvironment env(cfg);
+  EXPECT_EQ(env.shards(), 2u);
   auto tool = std::make_shared<CountTool>();
   env.attach_tool(tool);
-
-  FaultPlan plan;
-  plan.send_failure(FaultSite::kTpSend, 0.10);
-  FaultInjector inj(plan, 1234);
-  RetryPolicy rp;
-  rp.max_attempts = 2;  // one retry
-  env.set_fault(&inj, rp);
   env.start();
-
-  std::uint64_t last_admitted = 0;
-  int scrapes = 0;
-  for (std::uint64_t i = 0; i < 4000; ++i) {
-    env.record(rec(i % 2, i / 2));
-    if (i % 400 != 399) continue;
-    const std::string health =
-        body_of(http_get(env.telemetry_address(), true, "/health"));
-    const auto doc = obs::jsonlite::parse(health);
-    ASSERT_TRUE(doc.has_value()) << health;
-    const auto* stages = doc->find("stages");
-    ASSERT_NE(stages, nullptr);
-    ASSERT_TRUE(stages->is_array());
-    ASSERT_FALSE(stages->arr.empty());
-    for (const auto& s : stages->arr) {
-      const auto admitted = static_cast<std::uint64_t>(s.find("admitted")->num);
-      const auto completed =
-          static_cast<std::uint64_t>(s.find("completed")->num);
-      const auto lost = static_cast<std::uint64_t>(s.find("lost")->num);
-      const auto in_flight =
-          static_cast<std::uint64_t>(s.find("in_flight")->num);
-      EXPECT_TRUE(s.find("conserved")->b)
-          << s.find("name")->str << " at scrape " << scrapes;
-      EXPECT_EQ(admitted, completed + lost + in_flight) << s.find("name")->str;
-      if (s.find("name")->str == "lis") {
-        // Admissions are monotone scrape over scrape.
-        EXPECT_GE(admitted, last_admitted);
-        last_admitted = admitted;
-      }
-    }
-    ++scrapes;
-  }
-  EXPECT_EQ(scrapes, 10);
+  for (std::uint64_t i = 0; i < 800; ++i) env.record(rec(i % 8, i / 8));
+  const std::string health =
+      body_of(http_get(env.telemetry_address(), true, "/health"));
+  EXPECT_TRUE(obs::jsonlite::valid(health)) << health;
   env.stop();
 
-  // The terminal (post-drain) sample conserves too, with nothing in flight
-  // on the pipeline row.
+  EXPECT_EQ(tool->seen(), 800u);
   obs::live::HealthSnapshot hs;
   ASSERT_TRUE(env.telemetry_sampler()->read(hs));
   EXPECT_TRUE(hs.conserved());
+  const auto* agg = hs.stage("agg");
+  ASSERT_NE(agg, nullptr);
+  EXPECT_EQ(agg->admitted, 800u);
+  EXPECT_EQ(agg->completed, 800u);
   const auto* pipeline = hs.stage("pipeline");
   ASSERT_NE(pipeline, nullptr);
   EXPECT_EQ(pipeline->in_flight, 0u);
-  EXPECT_EQ(pipeline->completed, tool->seen());
+  EXPECT_EQ(pipeline->completed, 800u);
+  EXPECT_EQ(hs.degraded, 0u);
 }
 
 // The flight recorder's attribution must agree with the DegradationReport:
