@@ -6,6 +6,7 @@
 // the models parameterize and the cost of running the models themselves.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/channel.hpp"
@@ -107,7 +108,8 @@ void BM_CausalReordererInOrder(benchmark::State& state) {
 BENCHMARK(BM_CausalReordererInOrder);
 
 void BM_CausalReordererShuffled(benchmark::State& state) {
-  // Worst-ish case: fully shuffled arrivals force hold-back and rescans.
+  // Worst-ish case: fully shuffled arrivals hold back most records, which
+  // then release in long per-stream chains.
   stats::Rng rng(7);
   std::vector<trace::EventRecord> events(4096);
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -125,6 +127,74 @@ void BM_CausalReordererShuffled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * events.size());
 }
 BENCHMARK(BM_CausalReordererShuffled);
+
+// A 1-D periodic halo exchange over `nodes` nodes, arriving the way the MISO
+// ISM and the aggregators see it: per-node chunks of `chunk` records (one
+// LIS flush) from nodes picked at random.  Each step a node sends to both
+// neighbours and then receives from both, so most recvs of a chunk wait for
+// a neighbour's chunk.  The trace size is fixed, so ns/record should stay
+// flat as the stream count grows.
+std::vector<trace::EventRecord> halo_arrivals(std::uint32_t nodes,
+                                              std::size_t chunk) {
+  constexpr std::size_t kRecords = 1 << 16;
+  const std::size_t steps = kRecords / (4 * std::size_t{nodes});
+  std::vector<std::vector<trace::EventRecord>> per_node(nodes);
+  for (std::uint32_t n = 0; n < nodes; ++n) {
+    const std::uint32_t left = (n + nodes - 1) % nodes;
+    const std::uint32_t right = (n + 1) % nodes;
+    auto& out = per_node[n];
+    auto push = [&](trace::EventKind kind, std::uint32_t peer,
+                    std::uint16_t tag) {
+      trace::EventRecord r;
+      r.node = n;
+      r.kind = kind;
+      r.peer = peer;
+      r.tag = tag;
+      r.seq = out.size();
+      out.push_back(r);
+    };
+    for (std::size_t s = 0; s < steps; ++s) {
+      push(trace::EventKind::kSend, left, 0);
+      push(trace::EventKind::kSend, right, 1);
+      push(trace::EventKind::kRecv, right, 0);
+      push(trace::EventKind::kRecv, left, 1);
+    }
+  }
+  stats::Rng rng(11);
+  std::vector<std::size_t> pos(nodes, 0);
+  std::vector<std::uint32_t> live(nodes);
+  for (std::uint32_t n = 0; n < nodes; ++n) live[n] = n;
+  std::vector<trace::EventRecord> arrivals;
+  while (!live.empty()) {
+    const std::size_t k = rng.next_below(live.size());
+    const auto& src = per_node[live[k]];
+    auto& at = pos[live[k]];
+    const std::size_t end = std::min(at + chunk, src.size());
+    arrivals.insert(arrivals.end(), src.begin() + static_cast<long>(at),
+                    src.begin() + static_cast<long>(end));
+    at = end;
+    if (at == src.size()) {
+      live[k] = live.back();
+      live.pop_back();
+    }
+  }
+  return arrivals;
+}
+
+void BM_CausalReordererHalo(benchmark::State& state) {
+  const auto arrivals =
+      halo_arrivals(static_cast<std::uint32_t>(state.range(0)),
+                    static_cast<std::size_t>(state.range(1)));
+  for (auto _ : state) {
+    std::uint64_t released = 0;
+    trace::CausalReorderer r([&](const trace::EventRecord&) { ++released; });
+    for (const auto& e : arrivals) r.offer(e);
+    benchmark::DoNotOptimize(released);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(arrivals.size()));
+}
+BENCHMARK(BM_CausalReordererHalo)->ArgsProduct({{16, 64}, {64, 256}});
 
 void BM_PerturbationCompensate(benchmark::State& state) {
   std::vector<trace::EventRecord> clean(8192);

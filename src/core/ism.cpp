@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/clock.hpp"
 #include "core/io_loop.hpp"
@@ -21,13 +20,6 @@ std::string_view to_string(InputConfig c) {
 
 namespace {
 
-std::uint64_t stream_seq_key(const trace::EventRecord& r) {
-  // node:process:seq packed; seq is bounded well below 2^28 in practice for
-  // live runs, and collisions only skew a latency sample, never correctness.
-  return (static_cast<std::uint64_t>(r.node) << 46) ^
-         (static_cast<std::uint64_t>(r.process) << 28) ^ r.seq;
-}
-
 obs::LineageKey obs_key(const trace::EventRecord& r) {
   return obs::lineage_key(r.node, r.process, r.seq);
 }
@@ -36,7 +28,8 @@ obs::LineageKey obs_key(const trace::EventRecord& r) {
 
 Ism::Ism(TransferProtocol& tp, IsmConfig config)
     : tp_(tp), config_(config) {
-  output_ = std::make_unique<Channel<Timed>>(config_.output_capacity);
+  if (config_.output_capacity == 0)
+    throw std::invalid_argument("Ism: output_capacity 0");
   if (config_.storage_path)
     storage_ = std::make_unique<trace::TraceFileWriter>(*config_.storage_path);
   // Sanity: TP link layout must match the configured input style.
@@ -61,7 +54,6 @@ void Ism::start() {
   if (started_) return;
   started_ = true;
   tool_dead_.assign(tools_.size(), 0);
-  running_.store(true);
   processor_ = std::thread([this] { processor_main(); });
   dispatcher_ = std::thread([this] { dispatch_main(); });
 }
@@ -81,19 +73,9 @@ void Ism::mark_sources_dead(const std::vector<std::uint32_t>& nodes) {
 }
 
 void Ism::processor_main() {
-  // Latency bookkeeping for records held back by the reorderer: record key
-  // -> TP arrival time.
-  std::unordered_map<std::uint64_t, std::uint64_t> arrival_ns;
-
   if (config_.causal_ordering) {
     reorderer_ = std::make_unique<trace::CausalReorderer>(
-        [this, &arrival_ns](const trace::EventRecord& r) {
-          auto it = arrival_ns.find(stream_seq_key(r));
-          const std::uint64_t t_arr =
-              it != arrival_ns.end() ? it->second : current_batch_arrival_ns_;
-          if (it != arrival_ns.end()) arrival_ns.erase(it);
-          emit(r, t_arr);
-        });
+        [this](const trace::EventRecord& r) { append(r, arrival_of(r)); });
   }
 
   // The ISM consumes receive_link(): the data link itself for in-process
@@ -104,13 +86,8 @@ void Ism::processor_main() {
       PRISM_OBS_GAUGE_SET("core.ism.input_depth", tp_.receive_link(0).size());
     if (observer_)
       tp_.sample_depths(&observer_->timeline, static_cast<double>(now_ns()));
-    if (auto* batch = std::get_if<DataBatch>(&msg)) {
-      if (config_.causal_ordering) {
-        for (auto& r : batch->records)
-          arrival_ns.emplace(stream_seq_key(r), batch->t_sent_ns);
-      }
+    if (auto* batch = std::get_if<DataBatch>(&msg))
       process_batch(std::move(*batch));
-    }
   });
   // Input exhausted.  First, stop waiting on dead sources: their sends will
   // never arrive, so receives held back on them are force-released (in
@@ -137,10 +114,55 @@ void Ism::processor_main() {
       for (const auto& r : reorderer_->held_records())
         observer_->lineage.lose(obs_key(r), obs::LossSite::kIsmQueue, t);
     }
-    std::lock_guard lk(mu_);
-    stats_.still_held = reorderer_->held();
+    hand_off(0, 0);
   }
-  output_->close();
+  {
+    std::lock_guard lk(mu_);
+    out_closed_ = true;
+  }
+  out_ready_.notify_one();
+}
+
+void Ism::note_arrivals(const DataBatch& batch) {
+  // One FIFO entry per run of same-stream records: a held record's latency
+  // is measured from its own batch's send, not the batch that released it.
+  const auto& recs = batch.records;
+  for (std::size_t i = 0; i < recs.size();) {
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(recs[i].node) << 32) | recs[i].process;
+    std::uint64_t last = recs[i].seq;
+    std::size_t j = i + 1;
+    for (; j < recs.size() && recs[j].node == recs[i].node &&
+           recs[j].process == recs[i].process;
+         ++j)
+      last = std::max(last, recs[j].seq);
+    if (arrivals_last_ == nullptr || key != arrivals_key_) {
+      arrivals_key_ = key;
+      arrivals_last_ = &arrivals_[key];
+    }
+    arrivals_last_->push_back({last, batch.t_sent_ns});
+    i = j;
+  }
+}
+
+std::uint64_t Ism::arrival_of(const trace::EventRecord& r) {
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(r.node) << 32) | r.process;
+  if (arrivals_last_ == nullptr || key != arrivals_key_) {
+    auto it = arrivals_.find(key);
+    if (it == arrivals_.end()) return current_batch_arrival_ns_;
+    arrivals_key_ = key;
+    arrivals_last_ = &it->second;
+  }
+  // A stream releases in seq order, so runs wholly below r are done.
+  auto& fifo = *arrivals_last_;
+  while (!fifo.empty() && fifo.front().last_seq < r.seq) fifo.pop_front();
+  return fifo.empty() ? current_batch_arrival_ns_ : fifo.front().t_sent_ns;
+}
+
+void Ism::append(const trace::EventRecord& r, std::uint64_t t_arrival_ns) {
+  run_.push_back(r);
+  run_arrival_ns_.push_back(t_arrival_ns);
 }
 
 void Ism::process_batch(DataBatch&& batch) {
@@ -154,71 +176,97 @@ void Ism::process_batch(DataBatch&& batch) {
         f.kind == fault::FaultKind::kSlowConsumer)
       fault::sleep_ns(f.stall_ns);
   }
+  const std::size_t n = batch.records.size();
   PRISM_OBS_COUNT("core.ism.batches_received");
-  PRISM_OBS_COUNT_N("core.ism.records_received", batch.records.size());
-  {
-    std::lock_guard lk(mu_);
-    ++stats_.batches_received;
-    stats_.records_received += batch.records.size();
-  }
+  PRISM_OBS_COUNT_N("core.ism.records_received", n);
   current_batch_arrival_ns_ = batch.t_sent_ns;
+  run_.reserve(n);  // the last hand-off moved the run's storage away
   if (observer_) {
     const auto t_in = static_cast<double>(now_ns());
     for (const auto& r : batch.records)
       observer_->lineage.stamp(obs_key(r), obs::PipelineStage::kIsmInput,
                                t_in);
   }
-  for (auto& r : batch.records) {
-    if (config_.causal_ordering) {
-      reorderer_->offer(r);
-    } else {
+  if (config_.causal_ordering) {
+    note_arrivals(batch);
+    for (auto& r : batch.records) reorderer_->offer(r);
+  } else {
+    for (auto& r : batch.records) {
       trace::EventRecord out = r;
       out.lamport = ++plain_lamport_;
-      emit(out, batch.t_sent_ns);
+      append(out, batch.t_sent_ns);
     }
   }
-  // The records are consumed (copied into the reorderer or emitted); the
+  // The records are consumed (copied into the reorderer or the run); the
   // storage goes back to the transport readers' staging pool.
   BatchArena::instance().release(std::move(batch.records));
-  if (config_.causal_ordering) {
-    std::lock_guard lk(mu_);
-    stats_.held_back = reorderer_->held_back_total();
-    stats_.still_held = reorderer_->held();
-    stats_.hold_back_ratio = reorderer_->hold_back_ratio();
-    PRISM_OBS_GAUGE_SET("core.ism.held_back", stats_.held_back);
-    if (observer_)
-      observer_->timeline.sample_changed(
-          "ism.held", static_cast<double>(now_ns()),
-          static_cast<double>(stats_.still_held));
-  }
+  hand_off(1, n);
 }
 
-void Ism::emit(const trace::EventRecord& r, std::uint64_t t_arrival_ns) {
+void Ism::hand_off(std::size_t batches, std::size_t records) {
   const std::uint64_t t_now = now_ns();
-  {
-    std::lock_guard lk(mu_);
+  if (observer_) {
+    for (const auto& r : run_)
+      observer_->lineage.stamp(obs_key(r), obs::PipelineStage::kIsmProcessed,
+                               static_cast<double>(t_now));
+  }
+  const std::size_t held = reorderer_ ? reorderer_->held() : 0;
+  std::unique_lock lk(mu_);
+  stats_.batches_received += batches;
+  stats_.records_received += records;
+  for (const std::uint64_t t_arr : run_arrival_ns_) {
     const double latency =
-        static_cast<double>(t_now >= t_arrival_ns ? t_now - t_arrival_ns : 0);
+        static_cast<double>(t_now >= t_arr ? t_now - t_arr : 0);
     stats_.processing_latency_ns.add(latency);
     proc_latency_p95_.add(latency);
     PRISM_OBS_HIST("core.ism.processing_latency_ns", latency);
-    if (storage_) {
-      storage_->write(r);
-      ++stats_.records_stored;
+  }
+  if (storage_) {
+    for (const auto& r : run_) storage_->write(r);
+    stats_.records_stored += run_.size();
+  }
+  if (reorderer_) {
+    stats_.held_back = reorderer_->held_back_total();
+    stats_.hold_back_ratio = reorderer_->hold_back_ratio();
+    PRISM_OBS_GAUGE_SET("core.ism.held_back", stats_.held_back);
+  }
+  // Released records not yet in the output buffer count as held until
+  // their piece is handed off, so every snapshot is conserved().
+  stats_.still_held = held + run_.size();
+  const std::size_t cap = config_.output_capacity;
+  const std::size_t total = run_.size();
+  for (std::size_t done = 0; done < total;) {
+    out_space_.wait(lk, [&] { return out_records_ < cap; });
+    const std::size_t k = std::min(cap - out_records_, total - done);
+    Run piece{{}, t_now};
+    if (k == total) {
+      piece.records = std::move(run_);  // the common case: no copy
+    } else {
+      const auto first = run_.begin() + static_cast<std::ptrdiff_t>(done);
+      piece.records.assign(first, first + static_cast<std::ptrdiff_t>(k));
     }
+    runs_.push_back(std::move(piece));
+    done += k;
+    out_records_ += k;
+    stats_.still_held -= k;
+    out_ready_.notify_one();
   }
+  const std::size_t depth = out_records_;
+  lk.unlock();
   if (observer_) {
-    observer_->lineage.stamp(obs_key(r), obs::PipelineStage::kIsmProcessed,
-                             static_cast<double>(t_now));
-    observer_->timeline.sample_changed(
-        "ism.output_depth", static_cast<double>(t_now),
-        static_cast<double>(output_->size() + 1));
+    const auto t = static_cast<double>(t_now);
+    if (reorderer_)
+      observer_->timeline.sample_changed("ism.held", t,
+                                         static_cast<double>(held));
+    observer_->timeline.sample_changed("ism.output_depth", t,
+                                       static_cast<double>(depth));
   }
-  output_->push(Timed{r, t_now});
+  run_.clear();
+  run_arrival_ns_.clear();
 }
 
-void Ism::dispatch_main() {
-  while (auto timed = output_->pop()) {
+void Ism::dispatch_run(const Run& run, stats::Summary& latency) {
+  for (const auto& record : run.records) {
     if (fault_) {
       const auto f = fault_->consult(fault::FaultSite::kIsmDispatch, 0);
       if (f.kind == fault::FaultKind::kStall ||
@@ -226,7 +274,6 @@ void Ism::dispatch_main() {
         fault::sleep_ns(f.stall_ns);
     }
     const std::uint64_t t_now = now_ns();
-    PRISM_OBS_GAUGE_SET("core.ism.output_depth", output_->size());
     for (std::size_t i = 0; i < tools_.size(); ++i) {
       if (tool_dead_[i]) continue;
       if (fault_) {
@@ -245,7 +292,7 @@ void Ism::dispatch_main() {
           fault::sleep_ns(f.stall_ns);
       }
       try {
-        tools_[i]->consume(timed->record);
+        tools_[i]->consume(record);
       } catch (...) {
         // A crashing tool must not take the IS down with it: isolate it and
         // keep dispatching to the survivors.
@@ -256,20 +303,42 @@ void Ism::dispatch_main() {
         PRISM_OBS_COUNT("core.ism.tools_failed");
       }
     }
+    if (observer_)
+      observer_->lineage.complete(obs_key(record), static_cast<double>(t_now));
+    latency.add(static_cast<double>(
+        t_now >= run.t_processed_ns ? t_now - run.t_processed_ns : 0));
+  }
+}
+
+void Ism::dispatch_main() {
+  Run run;
+  std::unique_lock lk(mu_);
+  for (;;) {
+    out_ready_.wait(lk, [&] { return !runs_.empty() || out_closed_; });
+    if (runs_.empty()) break;
+    run = std::move(runs_.front());
+    runs_.pop_front();
+    PRISM_OBS_GAUGE_SET("core.ism.output_depth", out_records_);
+    lk.unlock();
+    stats::Summary latency;
+    dispatch_run(run, latency);
+    const std::size_t k = run.records.size();
+    lk.lock();
+    // Publish the run: its records leave the output buffer and become
+    // dispatched in one step.
+    stats_.records_dispatched += k;
+    stats_.dispatch_latency_ns.merge(latency);
+    out_records_ -= k;
+    PRISM_OBS_COUNT_N("core.ism.records_dispatched", k);
+    out_space_.notify_one();
     if (observer_) {
-      observer_->lineage.complete(obs_key(timed->record),
-                                  static_cast<double>(t_now));
-      observer_->timeline.sample_changed(
-          "ism.output_depth", static_cast<double>(t_now),
-          static_cast<double>(output_->size()));
+      const std::size_t depth = out_records_;
+      lk.unlock();
+      observer_->timeline.sample_changed("ism.output_depth",
+                                         static_cast<double>(now_ns()),
+                                         static_cast<double>(depth));
+      lk.lock();
     }
-    std::lock_guard lk(mu_);
-    ++stats_.records_dispatched;
-    PRISM_OBS_COUNT("core.ism.records_dispatched");
-    stats_.dispatch_latency_ns.add(
-        static_cast<double>(t_now >= timed->t_processed_ns
-                                ? t_now - timed->t_processed_ns
-                                : 0));
   }
 }
 
@@ -279,9 +348,8 @@ void Ism::stop() {
     if (!started_ || stopped_) return;
     stopped_ = true;
   }
-  running_.store(false);
   // Close the inbound data links: the processor drains them and exits,
-  // closing the output channel, which lets the dispatcher drain and exit.
+  // closing the output buffer, which lets the dispatcher drain and exit.
   // Control links stay open through the drain so that tools (steering) can
   // still emit control messages for in-flight records; they close last.
   tp_.close_data_links();
@@ -308,7 +376,7 @@ void Ism::stop() {
 IsmStats Ism::stats() const {
   std::lock_guard lk(mu_);
   IsmStats out = stats_;
-  out.in_output = output_->size();
+  out.in_output = out_records_;
   if (proc_latency_p95_.count() > 0)
     out.processing_latency_p95_ns = proc_latency_p95_.value();
   return out;

@@ -14,18 +14,25 @@
 // input buffer) or MISO (one per node) — the §3.3.2 design alternatives —
 // and the ISM self-measures the §3.3.2 metrics: data processing latency and
 // average input buffer length.
+//
+// The processor works per input batch, not per record: the records the
+// reorderer releases while it takes in one batch form a run, and at the end
+// of the batch the processor publishes the run's stats under one lock and
+// hands the whole run to the dispatch thread in one push.  The dispatcher
+// likewise consumes a run per wake-up and publishes once per run.
 #pragma once
 
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
-#include "core/channel.hpp"
 #include "core/tool.hpp"
 #include "core/transfer_protocol.hpp"
 #include "obs/pipeline.hpp"
@@ -46,6 +53,8 @@ std::string_view to_string(InputConfig c);
 
 struct IsmConfig {
   InputConfig input = InputConfig::kSiso;
+  /// Output buffer bound, in records; runs larger than the free space are
+  /// handed off in pieces.
   std::size_t output_capacity = 8192;
   /// Causally reorder and logically timestamp records before dispatch.
   bool causal_ordering = true;
@@ -59,8 +68,14 @@ struct IsmStats {
   std::uint64_t records_dispatched = 0;
   std::uint64_t records_stored = 0;
   std::uint64_t held_back = 0;          ///< out-of-order arrivals buffered
-  std::uint64_t still_held = 0;         ///< reorderer residue (snapshot)
-  std::uint64_t in_output = 0;          ///< output buffer occupancy (snapshot)
+  /// Records the processor still holds (snapshot): the reorderer's residue,
+  /// plus, while the output buffer is full, released records not yet handed
+  /// to it.  At quiescence this is the reorderer residue alone.
+  std::uint64_t still_held = 0;
+  /// Output buffer occupancy in records (snapshot): handed off by the
+  /// processor and not yet published as dispatched.  At most
+  /// IsmConfig::output_capacity.
+  std::uint64_t in_output = 0;
   double hold_back_ratio = 0.0;
   /// Data processing latency (ns): TP send -> output buffer (§3.3.2).
   stats::Summary processing_latency_ns;
@@ -81,8 +96,9 @@ struct IsmStats {
 
   std::uint64_t records_in() const { return records_received; }
   /// Record-conservation invariant: every record the TP delivered is
-  /// dispatched to the tools, still held by the causal reorderer, or still
-  /// sitting in the output buffer.  Exact at quiescence (after stop()).
+  /// dispatched to the tools, still held by the processor, or still in the
+  /// output buffer.  Exact in every snapshot: the processor publishes a
+  /// batch's records and the dispatcher a run's in one critical section.
   bool conserved() const {
     return records_in() == records_dispatched + still_held + in_output;
   }
@@ -136,25 +152,38 @@ class Ism {
   void mark_sources_dead(const std::vector<std::uint32_t>& nodes);
 
  private:
-  struct Timed {
-    trace::EventRecord record;
-    std::uint64_t t_processed_ns;
+  /// Records handed to the dispatcher in one push, stamped with the time the
+  /// processor published them.
+  struct Run {
+    std::vector<trace::EventRecord> records;
+    std::uint64_t t_processed_ns = 0;
+  };
+  /// Per-stream arrival bookkeeping for held records: the highest seq of a
+  /// run of one batch's records and that batch's TP send time.
+  struct ArrivalRun {
+    std::uint64_t last_seq = 0;
+    std::uint64_t t_sent_ns = 0;
   };
 
   void processor_main();
   void dispatch_main();
   void process_batch(DataBatch&& batch);
-  void emit(const trace::EventRecord& r, std::uint64_t t_arrival_ns);
+  /// Appends one released record to the processor's run.
+  void append(const trace::EventRecord& r, std::uint64_t t_arrival_ns);
+  /// TP send time of the batch that brought `r` (stream FIFO lookup).
+  std::uint64_t arrival_of(const trace::EventRecord& r);
+  void note_arrivals(const DataBatch& batch);
+  /// Publishes the batch's stats and hands the run to the dispatcher, cut
+  /// into pieces that fit the output buffer.  `batches` and `records` are
+  /// what the processor took in since the last hand-off.
+  void hand_off(std::size_t batches, std::size_t records);
+  void dispatch_run(const Run& run, stats::Summary& latency);
 
   TransferProtocol& tp_;
   IsmConfig config_;
   std::vector<std::shared_ptr<Tool>> tools_;
-  std::unique_ptr<Channel<Timed>> output_;
   std::unique_ptr<trace::CausalReorderer> reorderer_;
   std::unique_ptr<trace::TraceFileWriter> storage_;
-  std::thread processor_;
-  std::thread dispatcher_;
-  std::atomic<bool> running_{false};
   bool started_ = false;
   bool stopped_ = false;
   mutable std::mutex mu_;
@@ -166,10 +195,32 @@ class Ism {
   /// Per-tool failed flag; dispatcher-thread-only until after join.
   std::vector<char> tool_dead_;
   stats::P2Quantile proc_latency_p95_{0.95};
-  /// Arrival time of the batch whose records are being processed.
+
+  // Output buffer (guarded by mu_).  out_records_ counts the records in
+  // runs_ plus the run the dispatcher is working on, so a snapshot never
+  // loses the records between pop and publish.
+  std::deque<Run> runs_;
+  std::size_t out_records_ = 0;
+  bool out_closed_ = false;
+  std::condition_variable out_ready_;
+  std::condition_variable out_space_;
+
+  // Processor-thread state.
+  /// Records released during the current batch, and their TP send times.
+  std::vector<trace::EventRecord> run_;
+  std::vector<std::uint64_t> run_arrival_ns_;
+  /// Per-stream FIFO of arrival runs (stream key node << 32 | process).
+  std::unordered_map<std::uint64_t, std::deque<ArrivalRun>> arrivals_;
+  std::uint64_t arrivals_key_ = 0;
+  std::deque<ArrivalRun>* arrivals_last_ = nullptr;
+  /// TP send time of the batch being processed.
   std::uint64_t current_batch_arrival_ns_ = 0;
   /// Logical stamp counter when causal ordering is disabled.
   std::uint64_t plain_lamport_ = 0;
+
+  // Declared last: the threads use every member above.
+  std::thread processor_;
+  std::thread dispatcher_;
 };
 
 }  // namespace prism::core

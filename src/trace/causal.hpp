@@ -15,13 +15,20 @@
 // Released events receive monotonically increasing Lamport stamps.
 // Held-back events wait in per-stream input buffers, whose occupancy is the
 // paper's "average buffer length" / Falcon's "hold back ratio" metric.
+//
+// The work is per run of records, not per held stream: streams and channels
+// get dense ids (one hash per run of same-stream offers), and a stream whose
+// head recv waits on a channel is named on that channel's wait list.  A
+// released send wakes only that list; a released record continues only its
+// own stream.  Nothing rescans the held streams.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "trace/record.hpp"
@@ -69,17 +76,11 @@ class CausalReorderer {
   const std::set<std::uint32_t>& dead_nodes() const { return dead_nodes_; }
 
   /// Number of events currently held back.
-  std::size_t held() const;
+  std::size_t held() const { return held_count_; }
   /// Snapshot of every held-back event, in stream-key then seq order (the
   /// ISM's shutdown residue: causally unresolvable records it attributes as
   /// queue losses).
-  std::vector<EventRecord> held_records() const {
-    std::vector<EventRecord> out;
-    out.reserve(held_count_);
-    for (const auto& [stream, q] : held_)
-      out.insert(out.end(), q.begin(), q.end());
-    return out;
-  }
+  std::vector<EventRecord> held_records() const;
   /// Events held back at least once (for the hold-back ratio).
   std::uint64_t held_back_total() const { return held_back_total_; }
   std::uint64_t offered_total() const { return offered_total_; }
@@ -95,35 +96,92 @@ class CausalReorderer {
  private:
   using StreamKey = std::uint64_t;  // node << 32 | process
   using ChannelKey = std::uint64_t; // from << 40 | to << 16 | tag
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  /// Mixes the packed keys before bucketing: std::hash is the identity on
+  /// integers, and channel keys (fields at bits 40, 16 and 0) collide badly
+  /// under the table's modulo.
+  struct KeyHash {
+    std::size_t operator()(std::uint64_t k) const noexcept {
+      k ^= k >> 33;
+      k *= 0xff51afd7ed558ccdULL;
+      k ^= k >> 33;
+      return static_cast<std::size_t>(k);
+    }
+  };
+
+  /// One (node, process) stream, addressed by a dense id.
+  struct Stream {
+    StreamKey key = 0;
+    /// Next expected per-stream sequence number.
+    std::uint64_t next_seq = 0;
+    /// Held-back events, kept sorted by seq.
+    std::deque<EventRecord> held;
+    /// Channel whose wait list names this stream (kNone when unlisted).
+    std::uint32_t waiting_on = kNone;
+    /// In the current or next pass of the wake queue.
+    bool queued = false;
+  };
+  /// One message channel (from, to, tag), addressed by a dense id.
+  struct Channel {
+    std::uint64_t sends = 0;  ///< released sends
+    std::uint64_t recvs = 0;  ///< released recvs
+    /// Streams whose head is a recv blocked on this channel.
+    std::vector<std::uint32_t> waiters;
+  };
 
   static StreamKey stream_of(const EventRecord& r) {
     return (static_cast<std::uint64_t>(r.node) << 32) | r.process;
   }
-  static ChannelKey channel(std::uint32_t from, std::uint32_t to,
-                            std::uint16_t tag) {
+  static ChannelKey channel_key(std::uint32_t from, std::uint32_t to,
+                                std::uint16_t tag) {
     return (static_cast<std::uint64_t>(from) << 40) |
            (static_cast<std::uint64_t>(to) << 16) | tag;
   }
 
-  bool deliverable(const EventRecord& r) const;
-  void release_now(const EventRecord& r);
-  void drain_ready();
+  std::uint32_t stream_id(StreamKey key);
+  std::uint32_t channel_id(ChannelKey key);
+  /// Channel a recv matches against: its peer's sends to its node.
+  std::uint32_t recv_channel(const EventRecord& r) {
+    return channel_id(channel_key(r.peer, r.node, r.tag));
+  }
+  bool in_scope(std::uint32_t node) const {
+    return node < scope_.size() && scope_[node] != 0;
+  }
+  /// `r` is the next record of stream `s` and, for a recv, its matching
+  /// send has been released (or is waived: out of scope or dead sender).
+  bool deliverable(const Stream& s, const EventRecord& r);
+  void release_now(std::uint32_t sid, const EventRecord& r);
+  void hold(std::uint32_t sid, const EventRecord& r);
+  /// Lists stream `sid` on its channel's wait list when its head is a recv
+  /// blocked on message order.
+  void park(std::uint32_t sid);
+  /// Queues stream `sid` for a drain, in the pass a full rescan would have
+  /// reached it (see the comment in causal.cpp).
+  void wake(std::uint32_t sid);
+  /// Drains queued streams until no stream can make progress.
+  void run_passes();
 
   std::function<void(const EventRecord&)> release_;
-  /// Next expected per-stream sequence number.
-  std::map<StreamKey, std::uint64_t> next_seq_;
-  /// Released send count and released recv count per channel.
-  std::map<ChannelKey, std::uint64_t> sends_released_;
-  std::map<ChannelKey, std::uint64_t> recvs_released_;
-  /// Held-back events per stream, kept sorted by seq.
-  std::map<StreamKey, std::deque<EventRecord>> held_;
+  std::unordered_map<StreamKey, std::uint32_t, KeyHash> stream_ids_;
+  std::vector<Stream> streams_;
+  StreamKey last_key_ = 0;
+  std::uint32_t last_id_ = kNone;
+  std::unordered_map<ChannelKey, std::uint32_t, KeyHash> channel_ids_;
+  std::vector<Channel> channels_;
+  /// Wake queue of (stream key, id): a min-heap for the current pass, and
+  /// the streams woken behind the pass cursor, which wait for the next pass.
+  std::vector<std::pair<StreamKey, std::uint32_t>> pass_;
+  std::vector<std::pair<StreamKey, std::uint32_t>> next_pass_;
+  bool in_pass_ = false;
+  StreamKey cursor_ = 0;
   /// Nodes whose missing records are known lost (see expire_node): message
   /// order is waived for receives naming them as peer.
   std::set<std::uint32_t> dead_nodes_;
   /// When scoped_ (see restrict_scope), message order is enforced only for
-  /// peers inside local_scope_ — everything else is another shard's traffic.
+  /// peers whose scope_ bit is set; everything else is another shard's
+  /// traffic.
   bool scoped_ = false;
-  std::set<std::uint32_t> local_scope_;
+  std::vector<char> scope_;
   std::size_t held_count_ = 0;
   std::uint64_t lamport_ = 0;
   std::uint64_t offered_total_ = 0;

@@ -2,8 +2,12 @@
 // tier, latency accounting, and clean shutdown draining.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <memory>
+#include <mutex>
+#include <thread>
 
 #include "core/clock.hpp"
 #include "core/ism.hpp"
@@ -281,6 +285,151 @@ TEST(Ism, UnresolvableHoldBackResidueStaysAccounted) {
   EXPECT_EQ(s.records_dispatched, 1u);  // the plain record
   EXPECT_EQ(s.still_held, 1u);          // the orphaned recv
   EXPECT_TRUE(s.conserved());
+}
+
+// A tool that blocks every consume() until released.
+class LatchedTool final : public Tool {
+ public:
+  std::string_view name() const override { return "latched"; }
+  void consume(const trace::EventRecord& r) override {
+    std::unique_lock lk(mu_);
+    open_cv_.wait(lk, [&] { return open_; });
+    records_.push_back(r);
+  }
+  void open() {
+    {
+      std::lock_guard lk(mu_);
+      open_ = true;
+    }
+    open_cv_.notify_all();
+  }
+  std::vector<trace::EventRecord> records() const {
+    std::lock_guard lk(mu_);
+    return records_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable open_cv_;
+  bool open_ = false;
+  std::vector<trace::EventRecord> records_;
+};
+
+TEST(Ism, MidRunSnapshotsConserveWhileTheToolBlocks) {
+  // The tool blocks on its first record, so the dispatcher holds one run
+  // and the processor fills the output buffer and waits.  Every snapshot
+  // taken meanwhile must balance, with in_output counted in records.
+  TransferProtocol tp(TpFlavor::kPipe, 2, 1, 64);
+  IsmConfig cfg;
+  cfg.causal_ordering = true;
+  cfg.output_capacity = 16;
+  Ism ism(tp, cfg);
+  auto tool = std::make_shared<LatchedTool>();
+  ism.attach_tool(tool);
+  ism.start();
+  std::uint64_t total = 0;
+  for (int b = 0; b < 12; ++b) {
+    // Each step's recv arrives a batch ahead of its matching send, so the
+    // reorderer holds it across batches.
+    tp.data_link(0).push(batch_of(
+        1, {rec(1, static_cast<std::uint64_t>(b), trace::EventKind::kRecv, 0,
+                3)}));
+    std::vector<trace::EventRecord> recs;
+    for (int i = 0; i < 5; ++i)
+      recs.push_back(rec(0, static_cast<std::uint64_t>(b * 6 + i)));
+    recs.push_back(rec(0, static_cast<std::uint64_t>(b * 6 + 5),
+                       trace::EventKind::kSend, 1, 3));
+    tp.data_link(0).push(batch_of(0, std::move(recs)));
+    total += 7;
+  }
+  bool saw_full = false;
+  for (int spin = 0; spin < 2000 && !saw_full; ++spin) {
+    const auto s = ism.stats();
+    ASSERT_TRUE(s.conserved())
+        << "received " << s.records_received << " dispatched "
+        << s.records_dispatched << " held " << s.still_held << " out "
+        << s.in_output;
+    ASSERT_LE(s.in_output, cfg.output_capacity);
+    saw_full = s.in_output == cfg.output_capacity;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(saw_full);
+  const auto blocked = ism.stats();
+  EXPECT_TRUE(blocked.conserved());
+  EXPECT_LT(blocked.records_dispatched, total);
+  tool->open();
+  ism.stop();
+  const auto s = ism.stats();
+  EXPECT_EQ(s.records_dispatched, total);
+  EXPECT_EQ(s.in_output, 0u);
+  EXPECT_EQ(s.still_held, 0u);
+  EXPECT_TRUE(s.conserved());
+  EXPECT_EQ(trace::first_causal_violation(tool->records()), -1);
+}
+
+TEST(Ism, LateSendReleasingThousandsThroughUnitOutputBuffer) {
+  // Node 1's 1000 recvs and node 0's sends 1..999 all wait on node 0's
+  // seq 0.  That one late send releases 2000 records in one offer; with
+  // an output buffer of one record the run is handed off a record at a
+  // time, and nothing deadlocks or goes missing.
+  constexpr std::uint64_t kMsgs = 1000;
+  TransferProtocol tp(TpFlavor::kPipe, 2, 2, 64);
+  IsmConfig cfg;
+  cfg.input = InputConfig::kMiso;
+  cfg.causal_ordering = true;
+  cfg.output_capacity = 1;
+  Ism ism(tp, cfg);
+  auto tool = std::make_shared<RecordingTool>();
+  ism.attach_tool(tool);
+  ism.start();
+  std::vector<trace::EventRecord> recvs, sends;
+  for (std::uint64_t i = 0; i < kMsgs; ++i)
+    recvs.push_back(rec(1, i, trace::EventKind::kRecv, 0, 5));
+  for (std::uint64_t i = 1; i < kMsgs; ++i)
+    sends.push_back(rec(0, i, trace::EventKind::kSend, 1, 5));
+  tp.data_link_for(1).push(batch_of(1, std::move(recvs)));
+  tp.data_link_for(0).push(batch_of(0, std::move(sends)));
+  // Wait until both batches are held, so the late send releases them all.
+  for (int spin = 0; spin < 5000; ++spin) {
+    if (ism.stats().records_received == 2 * kMsgs - 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(ism.stats().still_held, 2 * kMsgs - 1);
+  tp.data_link_for(0).push(
+      batch_of(0, {rec(0, 0, trace::EventKind::kSend, 1, 5)}));
+  ism.stop();
+  const auto s = ism.stats();
+  EXPECT_EQ(s.records_dispatched, 2 * kMsgs);
+  EXPECT_EQ(s.still_held, 0u);
+  EXPECT_TRUE(s.conserved());
+  const auto out = tool->records();
+  ASSERT_EQ(out.size(), 2 * kMsgs);
+  EXPECT_EQ(trace::first_causal_violation(out), -1);
+}
+
+TEST(Ism, HeldRecordLatencyRunsFromItsOwnBatch) {
+  // A recv held across batches is measured from its own batch's send time,
+  // not from the batch whose send released it: both are published at the
+  // same instant, so their latencies differ by the gap between the sends.
+  constexpr std::uint64_t kGapNs = 200'000'000;
+  TransferProtocol tp(TpFlavor::kPipe, 2, 1, 64);
+  IsmConfig cfg;
+  cfg.causal_ordering = true;
+  Ism ism(tp, cfg);
+  ism.attach_tool(std::make_shared<RecordingTool>());
+  ism.start();
+  const auto early = batch_of(1, {rec(1, 0, trace::EventKind::kRecv, 0, 2)});
+  const std::uint64_t t_early = early.t_sent_ns;
+  tp.data_link(0).push(early);
+  while (now_ns() < t_early + kGapNs)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  tp.data_link(0).push(
+      batch_of(0, {rec(0, 0, trace::EventKind::kSend, 1, 2)}));
+  ism.stop();
+  const auto s = ism.stats();
+  ASSERT_EQ(s.processing_latency_ns.count(), 2u);
+  EXPECT_GE(s.processing_latency_ns.max() - s.processing_latency_ns.min(),
+            static_cast<double>(kGapNs));
 }
 
 }  // namespace
