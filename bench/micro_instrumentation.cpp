@@ -1,15 +1,20 @@
 // Micro-benchmarks of the live instrumentation system's hot paths
-// (google-benchmark): probe event emission, trace-buffer append/drain,
-// channel operations, k-way merging, causal reordering, perturbation
-// compensation, and the simulation engine's calendar (schedule/step,
-// cancel churn, periodic rescheduling).  These quantify the per-event costs
+// (google-benchmark): probe event emission, trace-buffer append/drain, the
+// buffered LIS's record() (the capture layer), channel operations, k-way
+// merging, causal reordering, perturbation compensation, and the
+// simulation engine's calendar (schedule/step, cancel churn, periodic
+// rescheduling).  These quantify the per-event costs
 // the models parameterize and the cost of running the models themselves.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/channel.hpp"
+#include "core/io_loop.hpp"
+#include "core/lis.hpp"
 #include "core/sensor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -56,6 +61,64 @@ void BM_TraceBufferAppend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TraceBufferAppend)->Arg(64)->Arg(1024)->Arg(16384);
+
+/// Four FOF BufferedLis of capacity 256 (one per benchmark thread) plus one
+/// that every thread shares, all shipping into one ingress link that a
+/// consumer thread drains, handing each batch's storage back to the
+/// BatchArena as the ISM does.  Built once, on first use, and kept for the
+/// process lifetime.
+struct LisRig {
+  static constexpr std::size_t kPerThread = 4;
+  core::DataLink link{64};
+  std::vector<std::unique_ptr<core::BufferedLis>> lises;
+  std::thread consumer;
+
+  LisRig() {
+    for (std::uint32_t n = 0; n <= kPerThread; ++n)
+      lises.push_back(std::make_unique<core::BufferedLis>(
+          n, 256, std::make_unique<core::FlushOnFill>(), link));
+    consumer = std::thread([this] {
+      while (auto m = link.pop())
+        if (auto* b = std::get_if<core::DataBatch>(&*m))
+          core::BatchArena::instance().release(std::move(b->records));
+    });
+  }
+  ~LisRig() {
+    for (auto& l : lises) l->stop();
+    link.close();
+    consumer.join();
+  }
+  static LisRig& instance() {
+    static LisRig rig;
+    return rig;
+  }
+};
+
+/// The capture layer: one record() into a buffered LIS, flushes included
+/// (the application pays for them under PICL semantics).  Arg 0: one LIS per
+/// thread; arg 1: one LIS shared by all threads.
+void BM_BufferedLisRecord(benchmark::State& state) {
+  const bool shared = state.range(0) == 1;
+  auto& rig = LisRig::instance();
+  const auto idx = shared ? LisRig::kPerThread
+                          : static_cast<std::size_t>(state.thread_index());
+  core::BufferedLis& lis = *rig.lises[idx];
+  trace::EventRecord r;
+  r.node = static_cast<std::uint32_t>(idx);
+  r.process = static_cast<std::uint32_t>(state.thread_index());
+  for (auto _ : state) {
+    lis.record(r);
+    ++r.seq;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BufferedLisRecord)
+    ->ArgName("shared")
+    ->Arg(0)
+    ->Arg(1)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime();
 
 void BM_ChannelPushPop(benchmark::State& state) {
   core::Channel<trace::EventRecord> ch(1024);

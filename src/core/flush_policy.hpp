@@ -2,47 +2,67 @@
 //
 // "We have identified two management policies for the PICL IS: Flush One
 // buffer when it Fills (FOF) and Flush All the buffers when One Fills
-// (FAOF)."  Policies are small strategy objects consulted by BufferedLis
-// after every append; `global()` distinguishes FAOF-style gang flushes
-// (which require coordination across all LISes) from local decisions.
+// (FAOF)."  A policy is a small strategy object that BufferedLis consults
+// once per buffer, never per record: before a buffer starts to fill (at
+// construction and after each flush) the LIS asks trigger() for the
+// occupancy at which it flushes, and record() compares its claimed slot
+// against that number (DESIGN.md §18).  `global()` distinguishes FAOF-style gang flushes (which
+// require coordination across all LISes) from local decisions.
 //
 // ThresholdFlush and AdaptiveThresholdFlush extend the paper's static
 // policies: the adaptive one tracks the observed arrival rate and flushes
 // early enough to bound the expected flush frequency — the "adaptive
 // management policy" direction the paper prescribes for next-generation ISs
-// (§5).
+// (§5).  The LIS feeds it through observe_batch(), once per shipped batch,
+// from the records' own timestamps.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 
-#include "trace/buffer.hpp"
+#include "trace/record.hpp"
 
 namespace prism::core {
 
 class FlushPolicy {
  public:
   virtual ~FlushPolicy() = default;
-  /// Consulted after each append: should this LIS flush now?
-  virtual bool should_flush(const trace::TraceBuffer& buffer) = 0;
+  /// Occupancy at which a buffer of `capacity` records flushes: the record
+  /// that brings the buffer to this many records triggers the flush.  Asked
+  /// once per buffer, before it starts to fill.  A value above `capacity`
+  /// never fires: the buffer fills and further records are dropped.
+  virtual std::size_t trigger(std::size_t capacity) const = 0;
+  /// Fed once per shipped buffer with its records in arrival order, before
+  /// the next trigger() call.  Static policies ignore it.
+  virtual void observe_batch(std::span<const trace::EventRecord>) {}
   /// True when a triggered flush must gang-flush every LIS (FAOF).
   virtual bool global() const { return false; }
   virtual std::string_view name() const = 0;
 };
 
+/// Smallest occupancy >= `records`, clamped to [1, capacity]: the trigger
+/// of a policy that flushes once the buffer holds `records`.
+inline std::size_t occupancy_at_least(double records, std::size_t capacity) {
+  if (!(records < static_cast<double>(capacity))) return capacity;
+  const auto n = static_cast<std::size_t>(std::ceil(records));
+  return n < 1 ? 1 : n;
+}
+
 /// FOF: flush this buffer when it fills.
 class FlushOnFill final : public FlushPolicy {
  public:
-  bool should_flush(const trace::TraceBuffer& b) override { return b.full(); }
+  std::size_t trigger(std::size_t capacity) const override { return capacity; }
   std::string_view name() const override { return "FOF"; }
 };
 
 /// FAOF: when one buffer fills, flush all buffers.
 class FlushAllOnFill final : public FlushPolicy {
  public:
-  bool should_flush(const trace::TraceBuffer& b) override { return b.full(); }
+  std::size_t trigger(std::size_t capacity) const override { return capacity; }
   bool global() const override { return true; }
   std::string_view name() const override { return "FAOF"; }
 };
@@ -55,9 +75,9 @@ class ThresholdFlush final : public FlushPolicy {
     if (!(fraction > 0 && fraction <= 1))
       throw std::invalid_argument("ThresholdFlush: fraction out of (0,1]");
   }
-  bool should_flush(const trace::TraceBuffer& b) override {
-    return static_cast<double>(b.size()) >=
-           fraction_ * static_cast<double>(b.capacity());
+  std::size_t trigger(std::size_t capacity) const override {
+    return occupancy_at_least(fraction_ * static_cast<double>(capacity),
+                              capacity);
   }
   std::string_view name() const override { return "threshold"; }
 
@@ -67,8 +87,9 @@ class ThresholdFlush final : public FlushPolicy {
 
 /// Adaptive policy: estimates the event arrival rate with an exponentially
 /// weighted mean of inter-arrival gaps and flushes when the buffer holds
-/// more than `target_flush_interval` worth of expected arrivals, clamped to
-/// the capacity.  Bounds both flush frequency and buffer residency latency.
+/// `target_flush_interval` worth of expected arrivals, clamped to the
+/// capacity.  Bounds both flush frequency and buffer residency latency.
+/// Until it has seen a gap it flushes only when full, like FOF.
 class AdaptiveThresholdFlush final : public FlushPolicy {
  public:
   /// `target_flush_interval_ns`: desired time between flushes.
@@ -82,9 +103,12 @@ class AdaptiveThresholdFlush final : public FlushPolicy {
       throw std::invalid_argument("AdaptiveThresholdFlush: bad smoothing");
   }
 
-  /// Feeds the arrival timestamp (ns) of the record just appended.
+  /// Feeds one arrival timestamp (ns).  A timestamp older than the last one
+  /// seen (another process's clock, interleaved) carries no gap and is
+  /// skipped.
   void observe_arrival(std::uint64_t t_ns) {
     if (have_last_) {
+      if (t_ns < last_ns_) return;
       const auto gap = static_cast<double>(t_ns - last_ns_);
       mean_gap_ns_ =
           mean_gap_ns_ == 0 ? gap : alpha_ * gap + (1 - alpha_) * mean_gap_ns_;
@@ -93,12 +117,14 @@ class AdaptiveThresholdFlush final : public FlushPolicy {
     have_last_ = true;
   }
 
-  bool should_flush(const trace::TraceBuffer& b) override {
-    if (b.full()) return true;
-    if (mean_gap_ns_ <= 0) return false;
-    const double expected_records =
-        static_cast<double>(target_ns_) / mean_gap_ns_;
-    return static_cast<double>(b.size()) >= expected_records;
+  void observe_batch(std::span<const trace::EventRecord> batch) override {
+    for (const auto& r : batch) observe_arrival(r.timestamp);
+  }
+
+  std::size_t trigger(std::size_t capacity) const override {
+    if (mean_gap_ns_ <= 0) return capacity;
+    return occupancy_at_least(static_cast<double>(target_ns_) / mean_gap_ns_,
+                              capacity);
   }
 
   double estimated_rate_per_sec() const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 
 #include "core/clock.hpp"
@@ -83,11 +84,28 @@ void FlushCoordinator::flush_all() {
 
 // ---------------------------------------------------------------- BufferedLis
 
+namespace {
+
+/// Uninitialized storage for `capacity` records.  A byte array implicitly
+/// creates the records that slot writes then assign.
+std::unique_ptr<std::byte[]> slot_storage(std::size_t capacity) {
+  if (capacity == 0 ||
+      capacity > std::numeric_limits<std::size_t>::max() /
+                     sizeof(trace::EventRecord))
+    throw std::invalid_argument("BufferedLis: capacity out of range");
+  return std::unique_ptr<std::byte[]>(
+      new std::byte[capacity * sizeof(trace::EventRecord)]);
+}
+
+}  // namespace
+
 BufferedLis::BufferedLis(std::uint32_t node, std::size_t buffer_capacity,
                          std::unique_ptr<FlushPolicy> policy, DataLink& to_ism,
                          FlushCoordinator* coordinator)
     : Lis(node),
-      buffer_(buffer_capacity, trace::OverflowPolicy::kDrop),
+      capacity_(buffer_capacity),
+      storage_(slot_storage(buffer_capacity)),
+      slots_(reinterpret_cast<trace::EventRecord*>(storage_.get())),
       policy_(std::move(policy)),
       link_(to_ism),
       coordinator_(coordinator),
@@ -96,6 +114,9 @@ BufferedLis::BufferedLis(std::uint32_t node, std::size_t buffer_capacity,
   if (policy_->global() && !coordinator_)
     throw std::invalid_argument(
         "BufferedLis: a global (FAOF) policy needs a FlushCoordinator");
+  // No other thread can see this LIS yet.
+  arm_trigger_locked();
+  reopen_locked(0);
   if (coordinator_) coordinator_->attach(this);
 }
 
@@ -104,74 +125,140 @@ BufferedLis::~BufferedLis() {
 }
 
 void BufferedLis::record(const trace::EventRecord& r) {
+  if (!observer_) {
+    // A closed word carries kClosed, so `c` then fails the bound.
+    const std::uint64_t c = claims_.word.fetch_add(1, std::memory_order_acquire);
+    if (c < capacity_) {
+      slots_[c] = r;
+      claims_.published.fetch_add(1, std::memory_order_release);
+      if (c + 1 >= claims_.trigger.load(std::memory_order_relaxed))
+        record_locked(nullptr);  // this claim reached the trigger
+      return;
+    }
+  }
+  record_locked(&r);  // closed, overshooting a full buffer, or observed
+}
+
+void BufferedLis::record_locked(const trace::EventRecord* r) {
   bool trigger_global = false;
   {
-    std::unique_lock lk(mu_);
-    if (stopped_) return;
-    if (dead()) {
+    std::lock_guard lk(mu_);
+    std::size_t size = close_locked();
+    if (r && stopped_) return;
+    if (r && dead()) {
       ++stats_.dropped;
       PRISM_OBS_COUNT("core.lis.dropped");
       if (observer_) {
-        const auto k = obs_key(r);
+        const auto k = obs_key(*r);
         const auto t = static_cast<double>(now_ns());
         if (obs_capture_) observer_->lineage.offer(k, t);
         observer_->lineage.lose(k, obs::LossSite::kLisDead, t);
       }
       return;
     }
-    const bool accepted = buffer_.append(r);
-    if (accepted) {
-      ++stats_.recorded;
-      PRISM_OBS_COUNT("core.lis.recorded");
-    } else {
-      ++stats_.dropped;
-      PRISM_OBS_COUNT("core.lis.dropped");
-    }
-    if (observer_) {
-      const auto k = obs_key(r);
-      const auto t = static_cast<double>(now_ns());
-      if (obs_capture_) observer_->lineage.offer(k, t);
+    const bool global = policy_->global();
+    const auto due = [&] {
+      return !stopped_ &&
+             size >= claims_.trigger.load(std::memory_order_relaxed);
+    };
+    if (r) {
+      // Another claim reached the trigger but has not flushed yet: flush on
+      // its behalf first, so this record lands in the next buffer exactly
+      // as if the two had been serialized.  A gang flush is the
+      // coordinator's to run, so under FAOF the record is dropped instead.
+      if (!global && due()) size = flush_locked(size);
+      const bool accepted = size < capacity_;
       if (accepted) {
-        observer_->lineage.stamp(k, obs::PipelineStage::kLisEnqueue, t);
+        slots_[size++] = *r;
       } else {
-        observer_->lineage.lose(k, obs::LossSite::kLisBuffer, t);
+        ++stats_.dropped;
+        PRISM_OBS_COUNT("core.lis.dropped");
+        // A drop samples a full buffer; accepted records are sampled when
+        // their buffer is flushed.
+        PRISM_OBS_HIST_B("core.lis.buffer_occupancy_pct",
+                         ::prism::obs::Histogram::percent_bounds(), 100.0);
       }
-      observer_->timeline.sample_changed(
-          tl_buffer_, t, static_cast<double>(buffer_.size()));
+      if (observer_) {
+        const auto k = obs_key(*r);
+        const auto t = static_cast<double>(now_ns());
+        if (obs_capture_) observer_->lineage.offer(k, t);
+        if (accepted) {
+          observer_->lineage.stamp(k, obs::PipelineStage::kLisEnqueue, t);
+        } else {
+          observer_->lineage.lose(k, obs::LossSite::kLisBuffer, t);
+        }
+        observer_->timeline.sample_changed(tl_buffer_, t,
+                                           static_cast<double>(size));
+      }
     }
-    PRISM_OBS_HIST_B("core.lis.buffer_occupancy_pct",
-                     ::prism::obs::Histogram::percent_bounds(),
-                     100.0 * static_cast<double>(buffer_.size()) /
-                         static_cast<double>(buffer_.capacity()));
-    if (policy_->should_flush(buffer_)) {
-      if (policy_->global()) {
+    if (due()) {
+      if (global) {
         trigger_global = true;  // coordinator flushes everyone, incl. us
       } else {
-        flush_locked(lk);
+        size = flush_locked(size);
       }
     }
+    reopen_locked(size);
   }
   if (trigger_global) coordinator_->flush_all();
 }
 
-void BufferedLis::flush() {
-  std::unique_lock lk(mu_);
-  flush_locked(lk);
+std::size_t BufferedLis::close_locked() {
+  const std::uint64_t c =
+      claims_.word.fetch_or(kClosed, std::memory_order_relaxed);
+  // Already closed: stopped or dead, and nothing can claim a slot.
+  if (c & kClosed) return claims_.published.load(std::memory_order_relaxed);
+  // Every claim below capacity owns a slot and is about to publish it; the
+  // acquire load that sees the last one makes every slot's record visible.
+  const std::uint64_t n = std::min<std::uint64_t>(c, capacity_);
+  while (claims_.published.load(std::memory_order_acquire) < n)
+    std::this_thread::yield();
+  return n;
 }
 
-void BufferedLis::flush_locked(std::unique_lock<std::mutex>& lk) {
-  if (buffer_.empty()) return;
-  if (dead()) return;  // crash residue was accounted when the LIS died
+void BufferedLis::arm_trigger_locked() {
+  claims_.trigger.store(
+      std::clamp<std::size_t>(policy_->trigger(capacity_), 1, capacity_ + 1),
+      std::memory_order_relaxed);
+}
+
+void BufferedLis::reopen_locked(std::size_t size) {
+  if (stopped_ || dead()) return;  // record() keeps taking mu_
+  claims_.published.store(size, std::memory_order_relaxed);
+  // Release: a claim that reads this value sees the current trigger and
+  // finds its slot already read out by the flush that emptied it.
+  claims_.word.store(size, std::memory_order_release);
+}
+
+void BufferedLis::flush() {
+  std::lock_guard lk(mu_);
+  reopen_locked(flush_locked(close_locked()));
+}
+
+std::size_t BufferedLis::flush_locked(std::size_t n) {
+  if (n == 0) return 0;
+  if (dead()) return n;  // a dead LIS ships nothing (its last flush emptied it)
   PRISM_OBS_SPAN("lis.flush", "core");
   const std::uint64_t t0 = now_ns();
   DataBatch batch;
   batch.source_node = node_;
   batch.t_sent_ns = t0;
-  // Swap recycled batch storage (BatchArena) into the buffer and ship the
-  // buffer's warmed backing store: a steady-state flush allocates nothing.
-  batch.records = BatchArena::instance().acquire_reserved(buffer_.capacity());
-  buffer_.drain_into(batch.records);
-  const std::size_t n = batch.records.size();
+  // Copy into recycled batch storage (BatchArena): a steady-state flush
+  // allocates nothing.
+  batch.records = BatchArena::instance().acquire_reserved(capacity_);
+  batch.records.assign(slots_, slots_ + n);
+  claims_.published.store(0, std::memory_order_relaxed);
+  // The capture telemetry is settled here, once per buffer: the record at
+  // position k saw occupancy k when it was appended.
+  stats_.recorded += n;
+  PRISM_OBS_COUNT_N("core.lis.recorded", n);
+  PRISM_OBS_HIST_SERIES_B(
+      "core.lis.buffer_occupancy_pct",
+      ::prism::obs::Histogram::percent_bounds(), n, [this](std::uint64_t k) {
+        return 100.0 * static_cast<double>(k) / static_cast<double>(capacity_);
+      });
+  policy_->observe_batch(batch.records);
+  arm_trigger_locked();  // the next buffer's trigger
   std::vector<obs::LineageKey>& keys = keys_scratch_;
   keys.clear();
   if (observer_) {
@@ -183,12 +270,10 @@ void BufferedLis::flush_locked(std::unique_lock<std::mutex>& lk) {
     }
     observer_->timeline.sample_changed(tl_buffer_, ts, 0.0);
   }
-  // Ship without holding the buffer lock: the link may block when the ISM
-  // is behind, and application threads must still be able to... wait.  They
-  // cannot: PICL semantics are that the *application* pays for the flush
-  // ("data collection stops" / processes are context-switched).  We keep the
-  // lock to preserve exactly that cost model — record() blocks for the
-  // duration of the flush, which is what the FOF/FAOF analysis measures.
+  // Ship while holding mu_ with the claim word closed.  PICL semantics are
+  // that the *application* pays for the flush ("data collection stops" /
+  // processes are context-switched): record() blocks for the duration of the
+  // flush, which is what the FOF/FAOF analysis measures.
   const SendOutcome out = tp_send(link_, std::move(batch));
   switch (out) {
     case SendOutcome::kDelivered:
@@ -229,20 +314,23 @@ void BufferedLis::flush_locked(std::unique_lock<std::mutex>& lk) {
       break;
   }
   stats_.flush_time_ns += now_ns() - t0;
-  (void)lk;
+  return 0;
 }
 
 void BufferedLis::stop() {
-  std::unique_lock lk(mu_);
+  std::lock_guard lk(mu_);
   if (stopped_) return;
-  flush_locked(lk);
-  stopped_ = true;
+  flush_locked(close_locked());
+  stopped_ = true;  // the claim word stays closed
 }
 
 LisStats BufferedLis::stats() const {
   std::lock_guard lk(mu_);
   LisStats out = stats_;
-  out.buffered = buffer_.size();
+  // Published records are accepted and buffered; a claim not yet published
+  // is not yet offered.
+  out.buffered = claims_.published.load(std::memory_order_acquire);
+  out.recorded += out.buffered;
   return out;
 }
 
@@ -252,10 +340,7 @@ ForwardingLis::ForwardingLis(std::uint32_t node, DataLink& to_ism)
     : Lis(node), link_(to_ism) {}
 
 void ForwardingLis::record(const trace::EventRecord& r) {
-  {
-    std::lock_guard lk(mu_);
-    if (stopped_) return;
-  }
+  if (stopped_.load(std::memory_order_relaxed)) return;
   const auto k = obs_key(r);
   if (dead()) {
     if (observer_) {
@@ -263,8 +348,7 @@ void ForwardingLis::record(const trace::EventRecord& r) {
       if (obs_capture_) observer_->lineage.offer(k, t);
       observer_->lineage.lose(k, obs::LossSite::kLisDead, t);
     }
-    std::lock_guard lk(mu_);
-    ++stats_.dropped;
+    ledger_.dropped.fetch_add(1, std::memory_order_relaxed);
     PRISM_OBS_COUNT("core.lis.dropped");
     return;
   }
@@ -285,10 +369,7 @@ void ForwardingLis::record(const trace::EventRecord& r) {
         observer_->lineage.stamp(k, obs::PipelineStage::kLisEnqueue, t_sent);
         observer_->lineage.stamp(k, obs::PipelineStage::kLisForward, t_sent);
       }
-      std::lock_guard lk(mu_);
-      ++stats_.recorded;
-      ++stats_.flushes;
-      ++stats_.records_forwarded;
+      ledger_.forwarded.fetch_add(1, std::memory_order_relaxed);
       PRISM_OBS_COUNT("core.lis.recorded");
       PRISM_OBS_COUNT("core.lis.records_forwarded");
       PRISM_OBS_COUNT("core.tp.batches_pushed");
@@ -301,8 +382,7 @@ void ForwardingLis::record(const trace::EventRecord& r) {
       if (observer_)
         observer_->lineage.lose(k, obs::LossSite::kTpBackpressure,
                                 static_cast<double>(now_ns()));
-      std::lock_guard lk(mu_);
-      ++stats_.dropped;
+      ledger_.dropped.fetch_add(1, std::memory_order_relaxed);
       PRISM_OBS_COUNT("core.lis.dropped");
       break;
     }
@@ -310,9 +390,7 @@ void ForwardingLis::record(const trace::EventRecord& r) {
       if (observer_)
         observer_->lineage.lose(k, obs::LossSite::kRetryExhausted,
                                 static_cast<double>(now_ns()));
-      std::lock_guard lk(mu_);
-      ++stats_.recorded;
-      ++stats_.lost_send;
+      ledger_.lost_send.fetch_add(1, std::memory_order_relaxed);
       PRISM_OBS_COUNT("core.lis.recorded");
       PRISM_OBS_COUNT("core.lis.records_lost_send");
       PRISM_OBS_FLIGHT("send_loss", "retry_exhausted", node_, 1);
@@ -322,9 +400,7 @@ void ForwardingLis::record(const trace::EventRecord& r) {
       if (observer_)
         observer_->lineage.lose(k, obs::LossSite::kLisDead,
                                 static_cast<double>(now_ns()));
-      std::lock_guard lk(mu_);
-      ++stats_.recorded;
-      ++stats_.lost_dead;
+      ledger_.lost_dead.fetch_add(1, std::memory_order_relaxed);
       PRISM_OBS_COUNT("core.lis.recorded");
       PRISM_OBS_COUNT("core.lis.records_lost_dead");
       PRISM_OBS_FLIGHT("dead_loss", "crash_in_send", node_, 1);
@@ -333,14 +409,17 @@ void ForwardingLis::record(const trace::EventRecord& r) {
   }
 }
 
-void ForwardingLis::stop() {
-  std::lock_guard lk(mu_);
-  stopped_ = true;
-}
+void ForwardingLis::stop() { stopped_.store(true, std::memory_order_relaxed); }
 
 LisStats ForwardingLis::stats() const {
-  std::lock_guard lk(mu_);
-  return stats_;
+  LisStats s;
+  s.records_forwarded = ledger_.forwarded.load(std::memory_order_relaxed);
+  s.dropped = ledger_.dropped.load(std::memory_order_relaxed);
+  s.lost_send = ledger_.lost_send.load(std::memory_order_relaxed);
+  s.lost_dead = ledger_.lost_dead.load(std::memory_order_relaxed);
+  s.flushes = s.records_forwarded;
+  s.recorded = s.records_forwarded + s.lost_send + s.lost_dead;
+  return s;
 }
 
 // ---------------------------------------------------------------- DaemonLis

@@ -9,7 +9,8 @@
 //
 // Three live implementations, one per case study:
 //   * BufferedLis   — PICL-style: library calls append to a local buffer;
-//                     a FlushPolicy decides when to ship (FOF / FAOF / ...).
+//                     a FlushPolicy sets, per buffer, the occupancy at which
+//                     it ships (FOF / FAOF / ...).
 //   * ForwardingLis — Vista-style: "event forwarding involves only one
 //                     system call per event" — no local buffering.
 //   * DaemonLis     — Paradyn-style: application processes write samples to
@@ -18,6 +19,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -29,7 +31,6 @@
 #include "core/transfer_protocol.hpp"
 #include "fault/fault.hpp"
 #include "obs/pipeline.hpp"
-#include "trace/buffer.hpp"
 #include "trace/record.hpp"
 
 namespace prism::core {
@@ -168,6 +169,8 @@ class FlushCoordinator {
   /// a gang flush is in progress folds into the ongoing one.
   void flush_all();
   std::uint64_t gang_flushes() const { return gang_flushes_.load(); }
+  /// True while a gang flush runs; a flush_all() now folds into it.
+  bool in_progress() const { return in_progress_.load(); }
 
  private:
   std::mutex mu_;
@@ -177,6 +180,16 @@ class FlushCoordinator {
 };
 
 /// PICL-style library LIS with a local trace buffer.
+///
+/// record() is lock-free on its fast path (DESIGN.md §18): one fetch_add on
+/// the claim word takes a slot, the record is copied into it, and a release
+/// increment of `published` hands it to whoever flushes.  mu_ is the slow
+/// path.  A thread takes it when its claim reaches the policy's trigger, when
+/// it overshoots a full or closed buffer, and on every record while an
+/// observer is attached.  The mu_ holder closes the claim word, waits until
+/// every claimed slot is published, and owns the buffer until it reopens the
+/// word; stop() and a death in tp_send leave it closed.  So a flush still
+/// blocks record() for its whole duration, as the PICL cost model requires.
 class BufferedLis final : public Lis {
  public:
   /// `coordinator` may be null for purely local policies (FOF); required
@@ -195,13 +208,43 @@ class BufferedLis final : public Lis {
   std::string_view policy_name() const { return policy_->name(); }
 
  private:
-  void flush_locked(std::unique_lock<std::mutex>& lk);
+  /// Set in the claim word while the mu_ holder owns the buffer.
+  static constexpr std::uint64_t kClosed = std::uint64_t{1} << 63;
 
+  /// The slow path: `r` is the record to append, or null when the caller's
+  /// claim reached the trigger and its record already sits in its slot.
+  void record_locked(const trace::EventRecord* r);
+  /// Closes the claim word and waits for every claimed slot to be
+  /// published.  Returns the records in the buffer.
+  std::size_t close_locked();
+  /// Asks the policy for the trigger of the buffer about to fill.
+  void arm_trigger_locked();
+  /// Reopens the claim word over a buffer holding `size` records, unless
+  /// the LIS is stopped or dead.
+  void reopen_locked(std::size_t size);
+  /// Ships the `n` buffered records.  Returns the records left buffered.
+  std::size_t flush_locked(std::size_t n);
+
+  const std::size_t capacity_;
+  /// Slot storage, untouched until records are written into it (as a
+  /// reserved vector's would be), so building an LIS faults in no pages.
+  std::unique_ptr<std::byte[]> storage_;
+  trace::EventRecord* const slots_;
+  struct alignas(64) Claims {
+    /// Slots claimed in the open buffer, or kClosed plus stray claims.
+    std::atomic<std::uint64_t> word{0};
+    /// Claimed slots whose record has been written.
+    std::atomic<std::uint64_t> published{0};
+    /// Occupancy at which the buffer flushes, in [1, capacity + 1]; set
+    /// once per buffer, while the word is closed.
+    std::atomic<std::uint64_t> trigger{0};
+  } claims_;
   mutable std::mutex mu_;
-  trace::TraceBuffer buffer_;
   std::unique_ptr<FlushPolicy> policy_;
   DataLink& link_;
   FlushCoordinator* coordinator_;
+  /// The ledger.  `recorded` here counts the records that have left the
+  /// buffer; stats() adds the ones still in it.
   LisStats stats_;
   bool stopped_ = false;
   /// Lineage-key staging reused across flushes (guarded by mu_), so an
@@ -223,9 +266,17 @@ class ForwardingLis final : public Lis {
 
  private:
   DataLink& link_;
-  mutable std::mutex mu_;
-  LisStats stats_;
-  bool stopped_ = false;
+  std::atomic<bool> stopped_{false};
+  /// Per-record ledger as relaxed counters on one cache line.  Every
+  /// accepted record is a one-record batch that was forwarded or lost, so
+  /// stats() derives `recorded` and `flushes` and a snapshot is conserved
+  /// however it interleaves with record().
+  struct alignas(64) Ledger {
+    std::atomic<std::uint64_t> forwarded{0};
+    std::atomic<std::uint64_t> dropped{0};
+    std::atomic<std::uint64_t> lost_send{0};
+    std::atomic<std::uint64_t> lost_dead{0};
+  } ledger_;
 };
 
 /// Paradyn-style daemon LIS.

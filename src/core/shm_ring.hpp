@@ -55,7 +55,9 @@ class ShmRing {
   /// memory must be address-free; both are lock-free uint types everywhere
   /// this code builds.
   struct Control {
-    std::uint64_t magic = 0;
+    /// Stored last with release at create(), loaded with acquire at
+    /// attach(): a valid magic publishes the initialized block.
+    std::atomic<std::uint64_t> magic;
     std::uint64_t capacity = 0;
     /// Bytes ever produced.  Producer-written, consumer-read.
     alignas(64) std::atomic<std::uint64_t> head;
@@ -81,14 +83,14 @@ class ShmRing {
       throw std::invalid_argument(
           "ShmRing: capacity must be a nonzero power of two");
     auto* ctl = new (mem) Control;
+    ctl->magic.store(0, std::memory_order_relaxed);
     ctl->capacity = capacity;
     ctl->head.store(0, std::memory_order_relaxed);
     ctl->tail.store(0, std::memory_order_relaxed);
     ctl->flags.store(0, std::memory_order_relaxed);
     // Publish the magic last: an attach() racing create() over the same
     // segment must not see a valid magic over uninitialized indices.
-    std::atomic_thread_fence(std::memory_order_release);
-    ctl->magic = kMagic;
+    ctl->magic.store(kMagic, std::memory_order_release);
     return ShmRing(ctl);
   }
 
@@ -97,9 +99,8 @@ class ShmRing {
   /// capacity are validated before use.
   static ShmRing attach(void* mem) {
     auto* ctl = static_cast<Control*>(mem);
-    if (ctl->magic != kMagic)
+    if (ctl->magic.load(std::memory_order_acquire) != kMagic)
       throw std::invalid_argument("ShmRing: bad segment magic");
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (!is_power_of_two(ctl->capacity))
       throw std::invalid_argument("ShmRing: corrupt capacity");
     return ShmRing(ctl);

@@ -62,11 +62,13 @@ void FlightRecorder::record(std::string_view category, std::string_view detail,
 
   const std::uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & mask_];
-  slot.seq.store(0, std::memory_order_release);  // invalidate for readers
+  slot.seq.store(0, std::memory_order_relaxed);  // invalidate for readers
   std::uint64_t words[kEventWords];
   std::memcpy(words, &ev, sizeof ev);
+  // Release: a reader that loads any of these words sees the invalidation
+  // above when it re-validates seq, so it never keeps a torn event.
   for (std::size_t i = 0; i < kEventWords; ++i)
-    slot.words[i].store(words[i], std::memory_order_relaxed);
+    slot.words[i].store(words[i], std::memory_order_release);
   slot.seq.store(ticket + 1, std::memory_order_release);
 }
 
@@ -86,8 +88,7 @@ std::vector<FlightEvent> FlightRecorder::tail(std::size_t max) const {
       continue;  // overwritten (or mid-write) by a newer ticket: skip
     std::uint64_t words[kEventWords];
     for (std::size_t i = 0; i < kEventWords; ++i)
-      words[i] = slot.words[i].load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+      words[i] = slot.words[i].load(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != t + 1) continue;
     FlightEvent ev;
     std::memcpy(&ev, words, sizeof ev);

@@ -9,9 +9,10 @@
 //
 // Concurrency: multi-producer, snapshot-reader.  A producer claims a ticket
 // with one fetch_add, invalidates the slot's seq, stores the event payload
-// as relaxed atomic words, then publishes seq = ticket + 1 (release).  The
-// dump walks the last `capacity` tickets and keeps a slot only when its seq
-// matched the expected ticket before *and* after the copy — a slot being
+// as atomic words with release (so each word carries the invalidation),
+// then publishes seq = ticket + 1 (release).  The dump reads the words with
+// acquire and keeps a slot only when its seq matched the expected ticket
+// before *and* after the copy — a slot being
 // rewritten mid-dump is skipped, never torn.  Two producers can collide on
 // one slot only when the ring wraps a full lap during a single 64-byte
 // write; the seq check degrades that to one dropped diagnostic event.

@@ -162,16 +162,17 @@ static_assert(std::is_trivially_copyable_v<HealthSnapshot>,
 /// tests) such that neither side ever blocks the other:
 ///
 ///   * the writer never takes a lock and never waits for readers — publish()
-///     is a bounded sequence of relaxed word stores bracketed by seq counter
+///     is a bounded sequence of word stores bracketed by seq counter
 ///     updates (odd = mid-write) on the slot readers are *not* pointed at;
 ///   * a reader copies the latest slot word-by-word and retries iff the
 ///     writer lapped it mid-copy (two publishes during one read) — with two
 ///     slots the retry is vanishingly rare and bounded in practice.
 ///
-/// The payload crosses threads as relaxed atomic words (release fence before
-/// the publishing seq store, acquire fence before the validating seq load),
-/// which is the standard TSan-clean seqlock construction — no plain-memory
-/// race exists anywhere in the protocol.
+/// The payload crosses threads as atomic words, written with release stores
+/// and read with acquire loads.  A reader that sees any word of a newer
+/// publish therefore sees that publish's odd seq at its validating load, and
+/// retries.  No fence is needed and no plain-memory race exists anywhere in
+/// the protocol, so TSan checks all of it.
 class HealthBoard {
  public:
   HealthBoard() = default;
@@ -186,11 +187,11 @@ class HealthBoard {
     // from a previous lap.
     const std::uint64_t s0 = slot.seq.load(std::memory_order_relaxed);
     slot.seq.store(s0 + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
     std::uint64_t words[kWords];
     std::memcpy(words, &s, sizeof s);
+    // Release: each word carries the odd seq above to a reader that sees it.
     for (std::size_t i = 0; i < kWords; ++i)
-      slot.words[i].store(words[i], std::memory_order_relaxed);
+      slot.words[i].store(words[i], std::memory_order_release);
     slot.seq.store(s0 + 2, std::memory_order_release);
     published_.store(n + 1, std::memory_order_release);
   }
@@ -207,8 +208,7 @@ class HealthBoard {
       if (s1 & 1) continue;  // writer lapped onto this slot; re-resolve
       std::uint64_t words[kWords];
       for (std::size_t i = 0; i < kWords; ++i)
-        words[i] = slot.words[i].load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+        words[i] = slot.words[i].load(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) != s1) continue;
       std::memcpy(&out, words, sizeof out);
       return true;

@@ -56,6 +56,10 @@ void Histogram::record(double v) noexcept {
   // count <= sum(buckets), with equality at quiescence.
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_release);
+  add_sum(v);
+}
+
+void Histogram::add_sum(double v) noexcept {
   // Double-precision sum via CAS on the bit pattern; contention is rare
   // (histograms sit off the per-event fast path or tolerate a few retries).
   std::uint64_t expected = sum_bits_.load(std::memory_order_relaxed);

@@ -116,6 +116,31 @@ class Histogram {
                                                 std::size_t n);
 
   void record(double v) noexcept;
+  /// Records the samples value(1), ..., value(n) of a non-decreasing series
+  /// in one pass: the buckets end as after n record() calls, for one atomic
+  /// add per bucket the series touches plus one each for count and sum.
+  template <class F>
+  void record_series(std::uint64_t n, F value) noexcept {
+    if (n == 0) return;
+    std::size_t idx = 0;
+    std::uint64_t run = 0;
+    double sum = 0;
+    for (std::uint64_t k = 1; k <= n; ++k) {
+      const double v = value(k);
+      std::size_t j = idx;
+      while (j < bounds_.size() && bounds_[j] < v) ++j;
+      if (j != idx) {
+        if (run) buckets_[idx].fetch_add(run, std::memory_order_relaxed);
+        idx = j;
+        run = 0;
+      }
+      ++run;
+      sum += v;
+    }
+    buckets_[idx].fetch_add(run, std::memory_order_relaxed);
+    count_.fetch_add(n, std::memory_order_release);  // as in record()
+    add_sum(sum);
+  }
 
   const std::vector<double>& bounds() const noexcept { return bounds_; }
   /// Acquire-loads the sample total.  Pairs with record()'s release
@@ -131,6 +156,8 @@ class Histogram {
   void reset() noexcept;
 
  private:
+  void add_sum(double v) noexcept;
+
   std::vector<double> bounds_;
   std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds + overflow
   std::atomic<std::uint64_t> count_{0};

@@ -77,6 +77,15 @@ constexpr bool compiled_in() { return PRISM_OBS_ENABLED != 0; }
     prism_obs_h_.record(static_cast<double>(v));                       \
   } while (0)
 
+/// Records the non-decreasing series `value(1..n)` into histogram `name`
+/// (Histogram::record_series) with explicit `bounds`.
+#define PRISM_OBS_HIST_SERIES_B(name, bounds, n, value)               \
+  do {                                                                 \
+    static ::prism::obs::Histogram& prism_obs_h_ =                     \
+        ::prism::obs::Registry::instance().histogram(name, bounds);    \
+    prism_obs_h_.record_series(n, value);                              \
+  } while (0)
+
 /// RAII span covering the rest of the enclosing scope.
 #define PRISM_OBS_SPAN(name, cat)                                      \
   ::prism::obs::SpanScope PRISM_OBS_CONCAT(prism_obs_span_, __LINE__)( \
@@ -96,6 +105,7 @@ constexpr bool compiled_in() { return PRISM_OBS_ENABLED != 0; }
 #define PRISM_OBS_GAUGE_ADD(name, d) ((void)0)
 #define PRISM_OBS_HIST(name, v) ((void)0)
 #define PRISM_OBS_HIST_B(name, bounds, v) ((void)0)
+#define PRISM_OBS_HIST_SERIES_B(name, bounds, n, value) ((void)0)
 #define PRISM_OBS_SPAN(name, cat) ((void)0)
 #define PRISM_OBS_BEGIN(name, cat) ((void)0)
 #define PRISM_OBS_END(name, cat) ((void)0)

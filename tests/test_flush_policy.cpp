@@ -3,20 +3,27 @@
 #include <gtest/gtest.h>
 
 #include "core/flush_policy.hpp"
+#include "trace/buffer.hpp"
 
 namespace prism::core {
 namespace {
 
 trace::EventRecord rec() { return trace::EventRecord{}; }
 
+/// True when `b`, filled to its current size, has reached the trigger `p`
+/// sets for a buffer of its capacity.
+bool due(const FlushPolicy& p, const trace::TraceBuffer& b) {
+  return b.size() >= p.trigger(b.capacity());
+}
+
 TEST(FlushOnFill, TriggersOnlyWhenFull) {
   FlushOnFill p;
   trace::TraceBuffer b(3);
   b.append(rec());
-  EXPECT_FALSE(p.should_flush(b));
+  EXPECT_FALSE(due(p, b));
   b.append(rec());
   b.append(rec());
-  EXPECT_TRUE(p.should_flush(b));
+  EXPECT_TRUE(due(p, b));
   EXPECT_FALSE(p.global());
   EXPECT_EQ(p.name(), "FOF");
 }
@@ -26,9 +33,9 @@ TEST(FlushAllOnFill, IsGlobal) {
   trace::TraceBuffer b(2);
   EXPECT_TRUE(p.global());
   b.append(rec());
-  EXPECT_FALSE(p.should_flush(b));
+  EXPECT_FALSE(due(p, b));
   b.append(rec());
-  EXPECT_TRUE(p.should_flush(b));
+  EXPECT_TRUE(due(p, b));
   EXPECT_EQ(p.name(), "FAOF");
 }
 
@@ -36,18 +43,18 @@ TEST(ThresholdFlush, TriggersAtFraction) {
   ThresholdFlush p(0.5);
   trace::TraceBuffer b(10);
   for (int i = 0; i < 4; ++i) b.append(rec());
-  EXPECT_FALSE(p.should_flush(b));
+  EXPECT_FALSE(due(p, b));
   b.append(rec());
-  EXPECT_TRUE(p.should_flush(b));  // 5 of 10
+  EXPECT_TRUE(due(p, b));  // 5 of 10
 }
 
 TEST(ThresholdFlush, FullFractionEqualsFof) {
   ThresholdFlush p(1.0);
   trace::TraceBuffer b(4);
   for (int i = 0; i < 3; ++i) b.append(rec());
-  EXPECT_FALSE(p.should_flush(b));
+  EXPECT_FALSE(due(p, b));
   b.append(rec());
-  EXPECT_TRUE(p.should_flush(b));
+  EXPECT_TRUE(due(p, b));
 }
 
 TEST(ThresholdFlush, RejectsBadFraction) {
@@ -77,7 +84,7 @@ TEST(AdaptiveThresholdFlush, FlushesEarlyUnderHighRate) {
     t += 1000;
     p.observe_arrival(t);
     b.append(rec());
-    flushed = p.should_flush(b);
+    flushed = due(p, b);
   }
   EXPECT_TRUE(flushed);
   EXPECT_LT(b.size(), 100u);
@@ -93,17 +100,17 @@ TEST(AdaptiveThresholdFlush, LazyUnderLowRate) {
     t += 1'000'000;
     p.observe_arrival(t);
     b.append(rec());
-    EXPECT_FALSE(p.should_flush(b)) << "at record " << i;
+    EXPECT_FALSE(due(p, b)) << "at record " << i;
   }
   b.append(rec());
-  EXPECT_TRUE(p.should_flush(b));  // full always flushes
+  EXPECT_TRUE(due(p, b));  // full always flushes
 }
 
 TEST(AdaptiveThresholdFlush, NoArrivalsNoFlush) {
   AdaptiveThresholdFlush p(1000);
   trace::TraceBuffer b(10);
   b.append(rec());
-  EXPECT_FALSE(p.should_flush(b));
+  EXPECT_FALSE(due(p, b));
 }
 
 TEST(AdaptiveThresholdFlush, RejectsBadConfig) {

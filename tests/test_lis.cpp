@@ -2,6 +2,7 @@
 // daemon (sampling, pipes, control plane).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -119,7 +120,9 @@ TEST(BufferedLis, DropsWhenFullAndPolicySilent) {
   // use a policy that never triggers to observe drops).
   class NeverFlush final : public FlushPolicy {
    public:
-    bool should_flush(const trace::TraceBuffer&) override { return false; }
+    std::size_t trigger(std::size_t capacity) const override {
+      return capacity + 1;
+    }
     std::string_view name() const override { return "never"; }
   };
   DataLink link(16);
@@ -137,6 +140,76 @@ TEST(BufferedLis, DropsWhenFullAndPolicySilent) {
   EXPECT_EQ(obs_count("core.lis.dropped") - dropped_before, 1u);
 #endif
 }
+
+TEST(BufferedLis, AdaptiveFlushesBeforeFullUnderHighRate) {
+  // Records 1 us apart against a 10 us target: once the first (full) buffer
+  // has shipped, the policy has a rate and later buffers flush at ~10
+  // records, well before the 100-record buffer fills.
+  DataLink link(1024);
+  BufferedLis lis(0, 100, std::make_unique<AdaptiveThresholdFlush>(10'000),
+                  link);
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    auto r = rec(0, 0, i);
+    r.timestamp = (i + 1) * 1000;
+    lis.record(r);
+  }
+  lis.stop();
+  const auto batches = drain(link);
+  ASSERT_GE(batches.size(), 2u);
+  EXPECT_EQ(batches[0].records.size(), 100u);  // no rate yet: full, like FOF
+  for (std::size_t i = 1; i < batches.size(); ++i)
+    EXPECT_LE(batches[i].records.size(), 10u) << "batch " << i;
+  const auto s = lis.stats();
+  EXPECT_GT(s.flushes, 50u);  // FOF would flush 10 times
+  EXPECT_EQ(s.records_forwarded, 1000u);
+  EXPECT_TRUE(s.conserved());
+}
+
+#if PRISM_OBS_ENABLED
+TEST(BufferedLis, CaptureTelemetrySettledAtFlushMatchesPerRecordSamples) {
+  // The occupancy histogram and core.lis.recorded are updated once per
+  // flush (and per drop); at quiescence they hold exactly what one sample
+  // per record would have given.
+  class NeverFlush final : public FlushPolicy {
+   public:
+    std::size_t trigger(std::size_t capacity) const override {
+      return capacity + 1;
+    }
+    std::string_view name() const override { return "never"; }
+  };
+  auto& reg = ::prism::obs::Registry::instance();
+  auto& hist = reg.histogram("core.lis.buffer_occupancy_pct",
+                             ::prism::obs::Histogram::percent_bounds());
+  const auto buckets_before = hist.bucket_counts();
+  const std::uint64_t recorded_before = obs_count("core.lis.recorded");
+  ::prism::obs::Histogram expected(::prism::obs::Histogram::percent_bounds());
+  DataLink link(16);
+  {
+    BufferedLis fof(0, 8, std::make_unique<FlushOnFill>(), link);
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      fof.record(rec(0, 0, i));
+      expected.record(100.0 * static_cast<double>(i % 8 + 1) / 8.0);
+    }
+    fof.stop();
+  }
+  {
+    BufferedLis never(1, 3, std::make_unique<NeverFlush>(), link);
+    for (std::uint64_t i = 0; i < 5; ++i) {
+      never.record(rec(1, 0, i));
+      expected.record(100.0 * static_cast<double>(std::min<std::uint64_t>(
+                                  i + 1, 3)) /
+                      3.0);
+    }
+    never.stop();
+  }
+  const auto buckets_after = hist.bucket_counts();
+  const auto want = expected.bucket_counts();
+  ASSERT_EQ(buckets_after.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(buckets_after[i] - buckets_before[i], want[i]) << "bucket " << i;
+  EXPECT_EQ(obs_count("core.lis.recorded") - recorded_before, 20u + 3u);
+}
+#endif
 
 // ---- ForwardingLis --------------------------------------------------------------
 
@@ -265,7 +338,9 @@ TEST(LisConservation, BufferedHoldsThenForwards) {
 TEST(LisConservation, BufferedCountsDropsAsLosses) {
   class NeverFlush final : public FlushPolicy {
    public:
-    bool should_flush(const trace::TraceBuffer&) override { return false; }
+    std::size_t trigger(std::size_t capacity) const override {
+      return capacity + 1;
+    }
     std::string_view name() const override { return "never"; }
   };
   DataLink link(16);

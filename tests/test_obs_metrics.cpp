@@ -67,6 +67,27 @@ TEST(ObsHistogram, BucketsSamplesByUpperBound) {
   EXPECT_DOUBLE_EQ(h.sum(), 0.0);
 }
 
+TEST(ObsHistogram, RecordSeriesMatchesOneRecordPerSample) {
+  // Occupancy series as a flushed LIS buffer reports them: k of n, in
+  // percent.  Several land exactly on a bound (inclusive), and capacities
+  // 7 and 3 give values that are not exact in binary.
+  for (const std::uint64_t n : {1, 3, 7, 8, 10, 256}) {
+    Histogram series(Histogram::percent_bounds());
+    Histogram each(Histogram::percent_bounds());
+    const auto pct = [n](std::uint64_t k) {
+      return 100.0 * static_cast<double>(k) / static_cast<double>(n);
+    };
+    series.record_series(n, pct);
+    for (std::uint64_t k = 1; k <= n; ++k) each.record(pct(k));
+    EXPECT_EQ(series.bucket_counts(), each.bucket_counts()) << "n " << n;
+    EXPECT_EQ(series.count(), n);
+    EXPECT_NEAR(series.sum(), each.sum(), 1e-9 * each.sum());
+  }
+  Histogram h({1.0, 10.0, 100.0});
+  h.record_series(0, [](std::uint64_t) { return 1.0; });
+  EXPECT_EQ(h.count(), 0u);
+}
+
 TEST(ObsHistogram, RejectsBadBounds) {
   EXPECT_THROW(Histogram({}), std::invalid_argument);
   EXPECT_THROW(Histogram({3.0, 2.0}), std::invalid_argument);
